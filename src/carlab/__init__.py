@@ -10,7 +10,6 @@ countable characterization of state equivalence.
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT, Numerics
 from .states import VectorState
 
-__all__ = ["DEFAULT", "Numerics", "VectorState", "__version__"]
+__all__ = ["VectorState", "__version__"]

@@ -3,16 +3,20 @@
 One experiment per invocation; every run is deterministic in its seed and
 writes a single JSON or CSV artifact that embeds the resolved
 configuration and package version, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 2 configuration error,
-3 cap/size error, 4 numerical-invariant violation, 5 I/O error.
+byte-identical files.  Exit codes: 0 success, 2 configuration error
+(including every flag error), 3 cap/size error, 4 numerical-invariant
+violation (including a non-finite value reaching the artifact), 5 I/O
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +59,10 @@ OUTPUT_DIR_ENV = "CARLAB_OUT"
 
 
 def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):
+        raise NumericalInvariantError(f"refusing to serialize non-finite value {x!r}")
+    return format(x, ".17g")
 
 
 def _to_json(value, indent: int = 0) -> str:
@@ -133,10 +140,14 @@ def _resolve_output(args, experiment: str) -> Path:
     return Path(out_dir) / f"{experiment.replace('-', '_')}.{ext}"
 
 
-def _config_dict(args, fields: list[str]) -> dict:
-    config = {"version": __version__, "format": args.out}
-    for name in fields:
-        config[name] = getattr(args, name.replace("-", "_"))
+# parsed attributes that select the subcommand or where its artifact goes
+_NOT_CONFIG = ("command", "run", "seed", "out", "out_dir", "output")
+
+
+def _config_dict(args) -> dict:
+    """Version, format and seed, then the subcommand's flags in parser order."""
+    config = {"version": __version__, "format": args.out, "seed": args.seed}
+    config.update((k, v) for k, v in vars(args).items() if k not in _NOT_CONFIG)
     return config
 
 
@@ -244,20 +255,8 @@ def run_reduce(args):
         sum_tolerance=args.sum_tolerance,
         product_floor=args.product_floor,
     )
-    diag = classify_pair(alpha, beta, policy)
-    summary = {
-        "classification": diag.classification,
-        "l2_total": diag.l2_total,
-        "l2_tail_increment": diag.l2_tail_increment,
-        "half_angle_total": diag.half_angle_total,
-        "half_angle_tail_increment": diag.half_angle_tail_increment,
-        "overlap_product": diag.overlap_product,
-        "log_overlap_product": diag.log_overlap_product,
-        "l2_converging": diag.l2_converging,
-        "half_angle_converging": diag.half_angle_converging,
-        "product_positive": diag.product_positive,
-        "diagnostic_length": length,
-    }
+    summary = asdict(classify_pair(alpha, beta, policy))
+    summary["diagnostic_length"] = length
     return rows, summary
 
 
@@ -268,30 +267,16 @@ def run_cauchy_gaps(args):
     beta = angles_from_descriptor(args.beta, length)
     chain = build_chain(alpha, beta, args.levels, phase_policy=args.phase_policy)
     gaps = block_gaps(chain, max_span=args.max_span)
-    rows = []
-    worst_mismatch = 0.0
-    flagged = 0
-    for g in gaps:
-        mismatch = abs(g.measured - g.eigenphase_norm)
-        worst_mismatch = max(worst_mismatch, mismatch)
-        flagged += int(g.exceeds_bound)
-        rows.append(
-            {
-                "start": g.start,
-                "end": g.end,
-                "measured": g.measured,
-                "eigenphase_norm": g.eigenphase_norm,
-                "overlap_bound": g.overlap_bound,
-                "exceeds_bound": g.exceeds_bound,
-            }
-        )
+    if not gaps:
+        raise InvalidInputError("cauchy-gaps needs --levels >= 2 to form a block")
+    worst_mismatch = max(abs(g.measured - g.eigenphase_norm) for g in gaps)
     summary = {
-        "blocks": len(rows),
-        "flagged_blocks": flagged,
+        "blocks": len(gaps),
+        "flagged_blocks": sum(g.exceeds_bound for g in gaps),
         "max_spectral_mismatch": worst_mismatch,
         "spectral_agreement": worst_mismatch <= 1e-8,
     }
-    return rows, summary
+    return [asdict(g) for g in gaps], summary
 
 
 def run_separation(args):
@@ -303,18 +288,7 @@ def run_separation(args):
         alpha, beta, threshold=args.threshold, start=args.start, limit=args.search_limit
     )
     stop = args.start + args.levels - 1
-    table = separation_rows(alpha, beta, start=args.start, stop=stop)
-    rows = [
-        {
-            "n": r.n,
-            "overlap": r.overlap,
-            "state_distance": r.state_distance,
-            "witness_first": r.witness_first,
-            "witness_second": r.witness_second,
-            "witness_norm": r.witness_norm,
-        }
-        for r in table
-    ]
+    rows = [asdict(r) for r in separation_rows(alpha, beta, start=args.start, stop=stop)]
     summary = {
         "threshold": args.threshold,
         "crossing_level": crossing,
@@ -428,15 +402,36 @@ def run_product_test(args):
 # --------------------------------------------------------------------- parser
 
 
-def _add_common(sub, defaults: dict) -> None:
-    sub.add_argument("--seed", type=int, default=defaults.get("seed", 7))
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises flag errors as InvalidInputError, for the JSON error record."""
+
+    def error(self, message):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
+def _add_common(sub) -> None:
+    sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--out", choices=("json", "csv"), default="json")
     sub.add_argument("--out-dir", default=None, help=f"default: ${OUTPUT_DIR_ENV} or cwd")
     sub.add_argument("--output", default=None, help="explicit output file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carlab",
         description="Deterministic experiments on pure states of 2^n matrix truncations.",
     )
@@ -448,19 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-form minimum unitary distance vs the exact-image search oracle",
     )
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--budget", type=int, default=2000)
-    _add_common(p, {})
-    p.set_defaults(run=run_min_distance, fields=["seed", "dim", "trials", "budget"])
+    _add_common(p)
+    p.set_defaults(run=run_min_distance)
 
     p = subs.add_parser(
         "product-distance",
         help="adjudicate the product-state distance constant with the state-mode oracle",
     )
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=positive_int, default=50)
     p.add_argument("--budget", type=int, default=6000)
-    _add_common(p, {})
-    p.set_defaults(run=run_product_distance, fields=["seed", "pairs", "budget"])
+    _add_common(p)
+    p.set_defaults(run=run_product_distance)
 
     p = subs.add_parser(
         "reduce",
@@ -472,16 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=400, help="diagnostic sequence length")
     p.add_argument("--phase-policy", choices=("none", "eigenvalue-one"), default="none")
     p.add_argument("--min-length", type=int, default=16)
-    p.add_argument("--sum-tolerance", type=float, default=1e-6)
-    p.add_argument("--product-floor", type=float, default=0.05)
-    _add_common(p, {})
-    p.set_defaults(
-        run=run_reduce,
-        fields=[
-            "seed", "alpha", "beta", "levels", "length", "phase_policy",
-            "min_length", "sum_tolerance", "product_floor",
-        ],
-    )
+    p.add_argument("--sum-tolerance", type=finite_float, default=1e-6)
+    p.add_argument("--product-floor", type=finite_float, default=0.05)
+    _add_common(p)
+    p.set_defaults(run=run_reduce)
 
     p = subs.add_parser(
         "cauchy-gaps",
@@ -490,13 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--max-span", type=int, default=6)
+    p.add_argument("--max-span", type=positive_int, default=6)
     p.add_argument("--phase-policy", choices=("none", "eigenvalue-one"), default="none")
-    _add_common(p, {})
-    p.set_defaults(
-        run=run_cauchy_gaps,
-        fields=["seed", "alpha", "beta", "levels", "max_span", "phase_policy"],
-    )
+    _add_common(p)
+    p.set_defaults(run=run_cauchy_gaps)
 
     p = subs.add_parser(
         "separation",
@@ -506,43 +492,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--levels", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=1.9)
+    p.add_argument("--threshold", type=finite_float, default=1.9)
     p.add_argument("--search-limit", type=int, default=64)
-    _add_common(p, {})
-    p.set_defaults(
-        run=run_separation,
-        fields=["seed", "alpha", "beta", "start", "levels", "threshold", "search_limit"],
-    )
+    _add_common(p)
+    p.set_defaults(run=run_separation)
 
     p = subs.add_parser(
         "fsigma-search",
         help="witness search over a unitary net for pulled-back state pairs",
     )
     p.add_argument("--dim", type=int, choices=(2, 4, 8, 16), default=2)
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=positive_int, default=50)
     p.add_argument("--epsilon", type=float, default=0.4)
     p.add_argument("--net", choices=("auto", "exhaustive", "random"), default="auto")
     p.add_argument("--net-size", type=int, default=3000)
     p.add_argument("--test-elements", type=int, default=24)
     p.add_argument("--density-check", action="store_true")
-    p.add_argument("--density-probes", type=int, default=100)
-    _add_common(p, {})
-    p.set_defaults(
-        run=run_fsigma_search,
-        fields=[
-            "seed", "dim", "pairs", "epsilon", "net", "net_size",
-            "test_elements", "density_check", "density_probes",
-        ],
-    )
+    p.add_argument("--density-probes", type=positive_int, default=100)
+    _add_common(p)
+    p.set_defaults(run=run_fsigma_search)
 
     p = subs.add_parser(
         "product-test",
         help="running products of a factor family against sandwich bounds",
     )
     p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    p.add_argument("--terms", type=int, default=40)
-    _add_common(p, {})
-    p.set_defaults(run=run_product_test, fields=["seed", "family", "terms"])
+    p.add_argument("--terms", type=positive_int, default=40)
+    _add_common(p)
+    p.set_defaults(run=run_product_test)
 
     return parser
 
@@ -556,17 +533,13 @@ def _error_record(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return EXIT_OK if code == 0 else EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         rows, summary = args.run(args)
-        config = _config_dict(args, args.fields)
         path = _resolve_output(args, args.command)
-        write_artifact(path, args.command, config, rows, summary)
+        write_artifact(path, args.command, _config_dict(args), rows, summary)
+    except SystemExit:  # --help and --version print and stop
+        return EXIT_OK
     except SizeLimitError as exc:
         return _error_record("size-limit", exc, EXIT_SIZE)
     except InvalidInputError as exc:

@@ -1,25 +1,13 @@
-"""Shared numeric caps and tolerances."""
+"""Numeric caps and tolerances shared by every module in the package.
 
-from __future__ import annotations
+Matrices are dense complex128 throughout.  The dimension cap (4096 =
+2**12 factors) keeps eigen-decompositions trustworthy and memory
+bounded; everything above it is rejected rather than approximated.
+"""
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Numerics:
-    """Caps and tolerances shared by every operation in the package.
-
-    Matrices are dense complex128 throughout.  The dimension cap (4096 =
-    2**12 factors) keeps eigen-decompositions trustworthy and memory
-    bounded; everything above it is rejected rather than approximated.
-    """
-
-    max_dim: int = 4096
-    max_level: int = 12
-    unitary_tol: float = 1e-10
-    unit_norm_tol: float = 1e-10
-    contraction_slack: float = 1e-9
-    witness_strictness: float = 1e-12
-
-
-DEFAULT = Numerics()
+MAX_DIM = 4096
+MAX_LEVEL = 12
+UNITARY_TOL = 1e-10
+UNIT_NORM_TOL = 1e-10
+CONTRACTION_SLACK = 1e-9
+WITNESS_STRICTNESS = 1e-12

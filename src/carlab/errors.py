@@ -16,7 +16,7 @@ class LevelError(InvalidInputError):
 
 
 class SizeLimitError(ValueError):
-    """A requested object would exceed the configured size caps."""
+    """A requested object would exceed the package size caps."""
 
     def __init__(self, message: str, estimated_size: float | None = None):
         super().__init__(message)

@@ -15,14 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import MAX_LEVEL
 from .errors import InvalidInputError, LevelError, NumericalInvariantError
 from .linalg import (
     is_unitary,
     operator_norm,
     phase_combination_norm,
     plane_rotation,
-    random_hermitian_contraction,
 )
 from .sequences import overlap_partial_products, validate_angles
 from .states import VectorState, separation_witness, state_distance
@@ -31,7 +30,7 @@ from .truncation import embed, product_vector
 PHASE_POLICIES = ("none", "eigenvalue-one")
 
 
-def truncated_product_state(alpha, n: int, settings: Numerics = DEFAULT) -> VectorState:
+def truncated_product_state(alpha, n: int) -> VectorState:
     """Level-n truncation of the product state of angles alpha.
 
     The defining vector is the tensor product of (cos a_j, sin a_j) over
@@ -41,7 +40,7 @@ def truncated_product_state(alpha, n: int, settings: Numerics = DEFAULT) -> Vect
     arr = validate_angles(alpha)
     if n < 1 or n > arr.size:
         raise InvalidInputError(f"need 1 <= n <= len(alpha), got n={n}")
-    return VectorState(product_vector(arr[:n], settings))
+    return VectorState(product_vector(arr[:n]))
 
 
 def step_unitary(alpha_j: float, beta_j: float, phase_policy: str = "none") -> np.ndarray:
@@ -107,7 +106,6 @@ def build_chain(
     beta,
     levels: int,
     phase_policy: str = "none",
-    settings: Numerics = DEFAULT,
 ) -> IntertwinerChain:
     """Build the chain of tensor products of step unitaries up to `levels`.
 
@@ -121,8 +119,8 @@ def build_chain(
         raise InvalidInputError(f"length mismatch: {a.size} vs {b.size}")
     if levels < 1 or levels > a.size:
         raise InvalidInputError(f"need 1 <= levels <= {a.size}, got {levels}")
-    if levels > settings.max_level:
-        raise LevelError(f"levels {levels} exceeds cap {settings.max_level}")
+    if levels > MAX_LEVEL:
+        raise LevelError(f"levels {levels} exceeds cap {MAX_LEVEL}")
 
     records = []
     v = np.ones((1, 1), dtype=np.complex128)
@@ -147,17 +145,17 @@ def build_chain(
     chain = IntertwinerChain(
         alpha=a, beta=b, phase_policy=phase_policy, levels=tuple(records)
     )
-    _verify_chain(chain, settings)
+    _verify_chain(chain)
     return chain
 
 
-def _verify_chain(chain: IntertwinerChain, settings: Numerics) -> None:
+def _verify_chain(chain: IntertwinerChain) -> None:
     tol = 1e-9
     for record in chain.levels:
         if not is_unitary(record.unitary, tol):
             raise NumericalInvariantError(f"chain level {record.n} is not unitary")
-        xi = product_vector(chain.alpha[: record.n], settings)
-        eta = product_vector(chain.beta[: record.n], settings)
+        xi = product_vector(chain.alpha[: record.n])
+        eta = product_vector(chain.beta[: record.n])
         image = record.unitary @ xi
         if chain.phase_policy == "none":
             err = np.linalg.norm(image - eta)
@@ -173,7 +171,6 @@ def intertwining_gap(
     chain: IntertwinerChain,
     n: int,
     test_elements: Sequence[np.ndarray],
-    settings: Numerics = DEFAULT,
 ) -> float:
     """max |phi_alpha(a) - phi_beta(v_n a v_n*)| over embedded test elements.
 
@@ -182,35 +179,16 @@ def intertwining_gap(
     products only.
     """
     record = chain.level(n)
-    xi = product_vector(chain.alpha[:n], settings)
-    eta = product_vector(chain.beta[:n], settings)
+    xi = product_vector(chain.alpha[:n])
+    eta = product_vector(chain.beta[:n])
     pulled = record.unitary.conj().T @ eta
     worst = 0.0
     for a in test_elements:
-        big = embed(a, n, settings)
+        big = embed(a, n)
         lhs = np.vdot(xi, big @ xi)
         rhs = np.vdot(pulled, big @ pulled)
         worst = max(worst, abs(lhs - rhs))
     return float(worst)
-
-
-def default_test_elements(
-    level: int, seed: int = 0, n_random: int = 25, settings: Numerics = DEFAULT
-) -> list[np.ndarray]:
-    """Canonical matrix units plus seeded random Hermitian contractions."""
-    dim = 1 << level
-    if dim > settings.max_dim:
-        raise LevelError(f"level {level} exceeds cap {settings.max_level}")
-    rng = np.random.default_rng(seed)
-    elements = []
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=np.complex128)
-            unit[i, j] = 1.0
-            elements.append(unit)
-    for _ in range(n_random):
-        elements.append(random_hermitian_contraction(dim, rng))
-    return elements
 
 
 @dataclass(frozen=True)
@@ -225,7 +203,7 @@ class BlockGap:
     exceeds_bound: bool
 
 
-def block_gap(chain: IntertwinerChain, m: int, n: int, settings: Numerics = DEFAULT) -> BlockGap:
+def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
     """Compare ||v_m (x) I - v_n|| against its closed form and the bound.
 
     `measured` comes from a dense eigen-decomposition; `eigenphase_norm`
@@ -235,7 +213,7 @@ def block_gap(chain: IntertwinerChain, m: int, n: int, settings: Numerics = DEFA
     """
     if not 1 <= m < n <= len(chain.levels):
         raise LevelError(f"need 1 <= m < n <= {len(chain.levels)}")
-    vm = embed(chain.level(m).unitary, n, settings)
+    vm = embed(chain.level(m).unitary, n)
     vn = chain.level(n).unitary
     measured = operator_norm(vm - vn)
     thetas = chain.thetas[m:n]
@@ -254,15 +232,13 @@ def block_gap(chain: IntertwinerChain, m: int, n: int, settings: Numerics = DEFA
     )
 
 
-def block_gaps(
-    chain: IntertwinerChain, max_span: int = 6, settings: Numerics = DEFAULT
-) -> list[BlockGap]:
+def block_gaps(chain: IntertwinerChain, max_span: int = 6) -> list[BlockGap]:
     """All block gaps with span at most max_span, in (start, end) order."""
     out = []
     top = len(chain.levels)
     for m in range(1, top):
         for n in range(m + 1, min(m + max_span, top) + 1):
-            out.append(block_gap(chain, m, n, settings))
+            out.append(block_gap(chain, m, n))
     return out
 
 
@@ -283,7 +259,6 @@ def separation_rows(
     beta,
     start: int = 1,
     stop: int | None = None,
-    settings: Numerics = DEFAULT,
 ) -> list[SeparationRow]:
     """Tail product vectors over factors start..n, their overlap, distance
     and separating witness, for each n up to `stop` (1-based, inclusive).
@@ -296,14 +271,14 @@ def separation_rows(
     if a.shape != b.shape:
         raise InvalidInputError(f"length mismatch: {a.size} vs {b.size}")
     if stop is None:
-        stop = min(a.size, start + settings.max_level - 1)
+        stop = min(a.size, start + MAX_LEVEL - 1)
     if not 1 <= start <= stop <= a.size:
         raise InvalidInputError(f"bad window [{start}, {stop}] for length {a.size}")
     rows = []
     products = overlap_partial_products(a, b, start - 1, stop)
     for n in range(start, stop + 1):
-        xi = product_vector(a[start - 1 : n], settings)
-        eta = product_vector(b[start - 1 : n], settings)
+        xi = product_vector(a[start - 1 : n])
+        eta = product_vector(b[start - 1 : n])
         # the cosine product equals <xi|eta> (checked elsewhere to 1e-10)
         # and stays exact where the vector inner product would cancel
         overlap = float(products[n - start])

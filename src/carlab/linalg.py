@@ -1,18 +1,22 @@
 """Dense complex linear algebra primitives.
 
-Kronecker products, operator and trace norms, unitarity checks, and the
+Kronecker products, operator and trace norms, unitarity checks, the
 explicit plane / two-plane unitaries the rest of the package is built
-from.  Norms are computed from Hermitian eigen-decompositions of a*a,
-never from iterative methods, so repeated runs give identical values.
+from, and the batched layer shared by the search oracles and the
+unitary nets: Hermitian matrices from real generator parameters, exp(iH)
+and operator norms over stacks of matrices.  Norms are computed from
+Hermitian eigen-decompositions of a*a, never from iterative methods, so
+repeated runs give identical values.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import MAX_DIM, UNIT_NORM_TOL, UNITARY_TOL
 from .errors import DomainError, InvalidInputError, SizeLimitError
 
 
@@ -26,7 +30,7 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
-def as_unit_vector(v, tol: float = DEFAULT.unit_norm_tol) -> np.ndarray:
+def as_unit_vector(v, tol: float = UNIT_NORM_TOL) -> np.ndarray:
     """Coerce to a complex128 vector of unit Euclidean norm (within tol)."""
     w = np.asarray(v, dtype=np.complex128)
     if w.ndim != 1 or w.shape[0] < 1:
@@ -39,14 +43,14 @@ def as_unit_vector(v, tol: float = DEFAULT.unit_norm_tol) -> np.ndarray:
     return w
 
 
-def kron(a, b, settings: Numerics = DEFAULT) -> np.ndarray:
-    """Kronecker product with the configured dimension cap."""
+def kron(a, b) -> np.ndarray:
+    """Kronecker product with the package dimension cap."""
     a = as_square_matrix(a)
     b = as_square_matrix(b)
     dim = a.shape[0] * b.shape[0]
-    if dim > settings.max_dim:
+    if dim > MAX_DIM:
         raise SizeLimitError(
-            f"Kronecker product dimension {dim} exceeds cap {settings.max_dim}",
+            f"Kronecker product dimension {dim} exceeds cap {MAX_DIM}",
             estimated_size=dim,
         )
     return np.kron(a, b)
@@ -74,15 +78,63 @@ def trace_norm(a) -> float:
     return float(np.sum(np.sqrt(eigs)))
 
 
-def is_unitary(a, tol: float | None = None, settings: Numerics = DEFAULT) -> bool:
+def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
     """True iff ||a*a - I|| <= tol in operator norm."""
-    if tol is None:
-        tol = settings.unitary_tol
     if tol <= 0:
         raise DomainError("unitarity tolerance must be positive")
     a = as_square_matrix(a)
     eye = np.eye(a.shape[0], dtype=np.complex128)
     return operator_norm(a.conj().T @ a - eye) <= tol
+
+
+def operator_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (n, d, d) stack.
+
+    2x2 matrices take the closed form from trace and determinant of a*a;
+    larger ones the top eigenvalue of each a*a.
+    """
+    d = a.shape[-1]
+    if d == 2:
+        p, q = a[:, 0, 0], a[:, 0, 1]
+        r, s = a[:, 1, 0], a[:, 1, 1]
+        trace = (np.abs(p) ** 2 + np.abs(q) ** 2 + np.abs(r) ** 2 + np.abs(s) ** 2).real
+        det = np.abs(p * s - q * r) ** 2
+        lam = 0.5 * (trace + np.sqrt(np.clip(trace**2 - 4.0 * det, 0.0, None)))
+        return np.sqrt(lam)
+    gram = np.einsum("nji,njk->nik", a.conj(), a)
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+
+
+@lru_cache(maxsize=None)
+def _hermitian_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat row-major positions of the diagonal, upper and lower entries."""
+    rows, cols = np.triu_indices(k, 1)
+    layout = (np.arange(k) * (k + 1), rows * k + cols, cols * k + rows)
+    for idx in layout:
+        idx.setflags(write=False)
+    return layout
+
+
+def hermitian_from_params(x, k: int) -> np.ndarray:
+    """Hermitian k x k matrices from k*k real parameters along the last axis.
+
+    The first k parameters are the diagonal; each entry above the
+    diagonal, row by row, then takes two: its real and imaginary part.
+    Leading axes of x are batch axes.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    diag, upper, lower = _hermitian_layout(k)
+    h = np.zeros(x.shape[:-1] + (k * k,), dtype=np.complex128)
+    h[..., diag] = x[..., :k]
+    h[..., upper] = x[..., k::2] + 1j * x[..., k + 1 :: 2]
+    h[..., lower] = np.conj(h[..., upper])
+    return h.reshape(x.shape[:-1] + (k, k))
+
+
+def expi_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for a Hermitian matrix or a stack of them, via eigh."""
+    w, v = np.linalg.eigh(h)
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
 
 
 def projector(v) -> np.ndarray:

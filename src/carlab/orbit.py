@@ -15,9 +15,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import MAX_DIM
 from .errors import DomainError, InvalidInputError, SizeLimitError
-from .linalg import as_unit_vector, operator_norm, two_plane_unitary
+from .linalg import (
+    as_unit_vector,
+    expi_hermitian,
+    hermitian_from_params,
+    operator_norm,
+    two_plane_unitary,
+)
 
 _ORACLE_DIMS = (2, 3, 4)
 _MAX_RESTARTS = 8
@@ -56,23 +62,6 @@ def _stabilizer_frame(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = eta.shape[0]
     q = np.linalg.qr(eta.reshape(d, 1), mode="complete")[0][:, 1:]
     return np.outer(eta, eta.conj()), q
-
-
-def _hermitian_from_params(x: np.ndarray, k: int) -> np.ndarray:
-    h = np.zeros((k, k), dtype=np.complex128)
-    h[np.diag_indices(k)] = x[:k]
-    pos = k
-    for i in range(k):
-        for j in range(i + 1, k):
-            h[i, j] = x[pos] + 1j * x[pos + 1]
-            h[j, i] = np.conj(h[i, j])
-            pos += 2
-    return h
-
-
-def _unitary_exp(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def _coordinate_descent(
@@ -163,7 +152,7 @@ def min_distance_bruteforce(xi, eta, budget: int = 10_000, seed: int = 0) -> flo
     eye = np.eye(d, dtype=np.complex128)
 
     def objective(x: np.ndarray) -> float:
-        w = _unitary_exp(_hermitian_from_params(x, k))
+        w = expi_hermitian(hermitian_from_params(x, k))
         u = (proj + q @ w @ q.conj().T) @ base
         return operator_norm(eye - u)
 
@@ -189,7 +178,7 @@ def state_min_distance_bruteforce(
     def objective(x: np.ndarray) -> float:
         target = np.exp(1j * x[0]) * eta
         base = two_plane_unitary(xi, target)
-        w = _unitary_exp(_hermitian_from_params(x[1:], k))
+        w = expi_hermitian(hermitian_from_params(x[1:], k))
         u = (proj + q @ w @ q.conj().T) @ base
         return operator_norm(eye - u)
 
@@ -214,9 +203,7 @@ class ProductDistanceReport:
     distance_doubled: float
 
 
-def product_min_distance(
-    xis: Sequence, etas: Sequence, settings: Numerics = DEFAULT
-) -> ProductDistanceReport:
+def product_min_distance(xis: Sequence, etas: Sequence) -> ProductDistanceReport:
     """Closed-form candidates for tensor products of vector states.
 
     The overlap of the product vectors factorizes, so only the product of
@@ -232,9 +219,9 @@ def product_min_distance(
         if x.shape != e.shape or x.shape[0] < 2:
             raise InvalidInputError("factors must be same-dimension vectors, dim >= 2")
         total *= x.shape[0]
-        if total > settings.max_dim:
+        if total > MAX_DIM:
             raise SizeLimitError(
-                f"product dimension exceeds cap {settings.max_dim}",
+                f"product dimension exceeds cap {MAX_DIM}",
                 estimated_size=total,
             )
         with np.errstate(divide="ignore"):

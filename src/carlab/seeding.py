@@ -7,8 +7,6 @@ in which order they complete.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -31,7 +29,3 @@ def derive_seeds(root: int, count: int) -> list[int]:
         seeds.append(value)
     return seeds
 
-
-def rng_for_trial(root: int, trial: int) -> np.random.Generator:
-    """Generator for one trial, independent of execution order."""
-    return np.random.default_rng(derive_seeds(root, trial + 1)[-1])

@@ -22,6 +22,9 @@ EQUIVALENT = "equivalent-trend"
 INEQUIVALENT = "inequivalent-trend"
 INCONCLUSIVE = "inconclusive"
 
+# share of the prefix whose sum increment decides "converging"
+TAIL_FRACTION = 0.25
+
 
 def validate_angles(values) -> np.ndarray:
     """Check every angle lies strictly inside (-pi/2, pi/2).
@@ -177,7 +180,6 @@ class WindowPolicy:
     """Finite-prefix thresholds standing in for statements about limits."""
 
     min_length: int = 16
-    tail_fraction: float = 0.25
     sum_tolerance: float = 1e-6
     product_floor: float = 0.05
 
@@ -198,8 +200,8 @@ class PairDiagnostics:
     product_positive: bool
 
 
-def _tail_increment(sums: np.ndarray, tail_fraction: float) -> float:
-    cut = int(np.floor(len(sums) * (1.0 - tail_fraction)))
+def _tail_increment(sums: np.ndarray) -> float:
+    cut = int(np.floor(len(sums) * (1.0 - TAIL_FRACTION)))
     cut = min(max(cut, 1), len(sums) - 1)
     return float(sums[-1] - sums[cut - 1])
 
@@ -220,18 +222,17 @@ def classify_pair(alpha, beta, policy: WindowPolicy = WindowPolicy()) -> PairDia
     l2 = l2_partial_sums(a, b)
     half = half_angle_partial_sums(a, b)
     cosines = np.cos(a - b)
+    sign = np.prod(np.sign(cosines))
     log_prod = float(log_abs_partial_products(cosines)[-1])
-    prod = float(overlap_partial_products(a, b)[-1])
+    prod = float(sign * np.exp(log_prod))
 
-    l2_inc = _tail_increment(l2, policy.tail_fraction)
-    half_inc = _tail_increment(half, policy.tail_fraction)
+    l2_inc = _tail_increment(l2)
+    half_inc = _tail_increment(half)
     l2_conv = l2_inc <= policy.sum_tolerance
     half_conv = half_inc <= policy.sum_tolerance
     # compare in log space so long sequences that underflow the float
     # product are still judged correctly
-    prod_pos = bool(
-        np.prod(np.sign(cosines)) > 0 and log_prod >= np.log(policy.product_floor)
-    )
+    prod_pos = bool(sign > 0 and log_prod >= np.log(policy.product_floor))
 
     flags = (l2_conv, half_conv, prod_pos)
     if all(flags):

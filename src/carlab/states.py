@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import CONTRACTION_SLACK
 from .errors import InvalidInputError, LevelError
 from .linalg import (
     as_square_matrix,
@@ -59,14 +59,14 @@ def evaluate(state: VectorState, a) -> complex:
     return complex(np.vdot(state.vector, a @ state.vector))
 
 
-def pullback(state: VectorState, u, settings: Numerics = DEFAULT) -> VectorState:
+def pullback(state: VectorState, u) -> VectorState:
     """The state a -> state(u a u*), i.e. the vector state of u* v."""
     u = as_square_matrix(u)
     if u.shape[0] != state.dim:
         raise InvalidInputError(
             f"unitary dimension {u.shape[0]} != state dimension {state.dim}"
         )
-    if not is_unitary(u, settings.unitary_tol):
+    if not is_unitary(u):
         raise InvalidInputError("pullback needs a unitary")
     return VectorState(u.conj().T @ state.vector)
 
@@ -120,7 +120,6 @@ def sup_gap(
     psi: VectorState,
     u,
     test_set: Sequence[np.ndarray],
-    settings: Numerics = DEFAULT,
 ) -> float:
     """max over the test set of |phi(a) - psi(u a u*)|.
 
@@ -134,7 +133,7 @@ def sup_gap(
     worst = 0.0
     for a in test_set:
         a = as_square_matrix(a)
-        if operator_norm(a) > 1.0 + settings.contraction_slack:
+        if operator_norm(a) > 1.0 + CONTRACTION_SLACK:
             raise InvalidInputError("test elements must be contractions")
         gap = abs(complex(np.vdot(phi.vector, a @ phi.vector))
                   - complex(np.vdot(pulled, a @ pulled)))

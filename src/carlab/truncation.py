@@ -10,42 +10,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import MAX_LEVEL
 from .errors import LevelError, SizeLimitError
 from .linalg import as_square_matrix
 from .sequences import validate_angles
 
 
-def level_dim(n: int, settings: Numerics = DEFAULT) -> int:
+def level_dim(n: int) -> int:
     """Dimension 2^n of the level-n truncation."""
-    return 1 << check_level(n, settings)
+    return 1 << check_level(n)
 
 
-def check_level(n: int, settings: Numerics = DEFAULT) -> int:
-    """Validate a truncation level against the configured cap."""
+def check_level(n: int) -> int:
+    """Validate a truncation level against the level cap."""
     n = int(n)
-    if not 0 <= n <= settings.max_level:
-        raise LevelError(f"level {n} outside [0, {settings.max_level}]")
+    if not 0 <= n <= MAX_LEVEL:
+        raise LevelError(f"level {n} outside [0, {MAX_LEVEL}]")
     return n
 
 
-def level_of_dim(dim: int, settings: Numerics = DEFAULT) -> int:
+def level_of_dim(dim: int) -> int:
     """The level whose truncation has the given dimension."""
     dim = int(dim)
     if dim >= 1 and dim & (dim - 1) == 0:
-        return check_level(dim.bit_length() - 1, settings)
+        return check_level(dim.bit_length() - 1)
     raise LevelError(f"dimension {dim} is not a power of two")
 
 
-def embed(a, n: int, settings: Numerics = DEFAULT) -> np.ndarray:
+def embed(a, n: int) -> np.ndarray:
     """Embed a level-m element into level n >= m as a (x) I.
 
     Norm-preserving and multiplicative; embedding twice equals embedding
     once to the final level.
     """
     a = as_square_matrix(a)
-    m = level_of_dim(a.shape[0], settings)
-    n = check_level(n, settings)
+    m = level_of_dim(a.shape[0])
+    n = check_level(n)
     if m > n:
         raise LevelError(f"cannot embed level {m} into lower level {n}")
     if m == n:
@@ -53,7 +53,7 @@ def embed(a, n: int, settings: Numerics = DEFAULT) -> np.ndarray:
     return np.kron(a, np.eye(1 << (n - m), dtype=np.complex128))
 
 
-def product_vector(angles, settings: Numerics = DEFAULT) -> np.ndarray:
+def product_vector(angles) -> np.ndarray:
     """Kronecker product of the 2-vectors (cos a_j, sin a_j).
 
     A unit vector of dimension 2^len(angles); slicing the angle list first
@@ -62,9 +62,9 @@ def product_vector(angles, settings: Numerics = DEFAULT) -> np.ndarray:
     arr = validate_angles(angles)
     if arr.size == 0:
         raise LevelError("need at least one angle")
-    if arr.size > settings.max_level:
+    if arr.size > MAX_LEVEL:
         raise SizeLimitError(
-            f"{arr.size} factors exceed the level cap {settings.max_level}",
+            f"{arr.size} factors exceed the level cap {MAX_LEVEL}",
             estimated_size=2.0 ** arr.size,
         )
     out = np.ones(1, dtype=np.complex128)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import CONTRACTION_SLACK, MAX_DIM, WITNESS_STRICTNESS
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -22,8 +22,11 @@ from .errors import (
 )
 from .linalg import (
     as_square_matrix,
+    expi_hermitian,
     haar_unitary,
+    hermitian_from_params,
     operator_norm,
+    operator_norms,
     random_hermitian_contraction,
 )
 from .states import VectorState, evaluate, pullback, state_distance
@@ -45,8 +48,6 @@ class UnitaryNet:
     resolution: float
     mode: str
     elements: np.ndarray = field(repr=False)
-    seed: int | None = None
-    points_per_axis: int | None = None
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -67,28 +68,6 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, float]:
     delta = 2.0 * epsilon / np.sqrt(dim * (2 * dim - 1))
     points = int(np.ceil(2.0 * np.pi / delta)) + 1
     return points, float(points) ** (dim * dim)
-
-
-def _batch_expi_hermitian(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return np.einsum("nij,nj,nkj->nik", v, np.exp(1j * w), v.conj())
-
-
-def _assemble_generators(grid: np.ndarray, dim: int) -> np.ndarray:
-    """All Hermitian matrices with parameters on the grid, lexicographic."""
-    axes = np.meshgrid(*([grid] * (dim * dim)), indexing="ij")
-    params = np.stack([ax.reshape(-1) for ax in axes], axis=1)
-    n = params.shape[0]
-    h = np.zeros((n, dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        h[:, i, i] = params[:, i]
-    pos = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[:, i, j] = params[:, pos] + 1j * params[:, pos + 1]
-            h[:, j, i] = np.conj(h[:, i, j])
-            pos += 2
-    return h
 
 
 def _check_all_unitary(elements: np.ndarray) -> None:
@@ -117,7 +96,6 @@ def enumerate_net(
     dim: int,
     epsilon: float,
     max_size: int = _DEFAULT_NET_CAP,
-    settings: Numerics = DEFAULT,
 ) -> UnitaryNet:
     """Exhaustive epsilon-dense net of the dim-dimensional unitary group.
 
@@ -127,7 +105,7 @@ def enumerate_net(
     refused with the estimate attached: that is the signal to fall back to
     a random net.
     """
-    if dim < 1 or dim > settings.max_dim:
+    if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad net dimension {dim}")
     points, estimated = exhaustive_net_plan(dim, epsilon)
     if estimated > max_size:
@@ -137,8 +115,10 @@ def enumerate_net(
             estimated_size=estimated,
         )
     grid = np.linspace(-np.pi, np.pi, points)
-    generators = _assemble_generators(grid, dim)
-    elements = _batch_expi_hermitian(generators)
+    # every grid point of the dim*dim generator parameters, lexicographic
+    axes = np.meshgrid(*([grid] * (dim * dim)), indexing="ij")
+    params = np.stack([ax.reshape(-1) for ax in axes], axis=1)
+    elements = expi_hermitian(hermitian_from_params(params, dim))
     elements = np.concatenate(
         [np.eye(dim, dtype=np.complex128)[None, :, :], elements], axis=0
     )
@@ -149,19 +129,16 @@ def enumerate_net(
         resolution=float(epsilon),
         mode="exhaustive",
         elements=elements,
-        points_per_axis=points,
     )
 
 
-def random_net(
-    dim: int, epsilon: float, size: int, seed: int, settings: Numerics = DEFAULT
-) -> UnitaryNet:
+def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     """Seeded Haar-random net with the identity as element 0.
 
     Used where the exhaustive grid is infeasible; its covering radius is a
     statistical matter, reported by `net_density_report`, not a guarantee.
     """
-    if dim < 1 or dim > settings.max_dim:
+    if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad net dimension {dim}")
     if size < 1:
         raise InvalidInputError("net size must be positive")
@@ -178,22 +155,7 @@ def random_net(
         resolution=float(epsilon),
         mode="random",
         elements=elements,
-        seed=seed,
     )
-
-
-def _batch_operator_norms(diffs: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (n, d, d) stack."""
-    d = diffs.shape[-1]
-    if d == 2:
-        a, b = diffs[:, 0, 0], diffs[:, 0, 1]
-        c, e = diffs[:, 1, 0], diffs[:, 1, 1]
-        trace = (np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(e) ** 2).real
-        det = np.abs(a * e - b * c) ** 2
-        lam = 0.5 * (trace + np.sqrt(np.clip(trace**2 - 4.0 * det, 0.0, None)))
-        return np.sqrt(lam)
-    gram = np.einsum("nji,njk->nik", diffs.conj(), diffs)
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
 
 
 def nearest_net_element(net: UnitaryNet, u) -> tuple[int, float]:
@@ -203,7 +165,7 @@ def nearest_net_element(net: UnitaryNet, u) -> tuple[int, float]:
         raise InvalidInputError("dimension mismatch with net")
     best_idx, best = 0, np.inf
     for lo in range(0, len(net), _CHUNK):
-        dists = _batch_operator_norms(net.elements[lo : lo + _CHUNK] - u)
+        dists = operator_norms(net.elements[lo : lo + _CHUNK] - u)
         i = int(np.argmin(dists))
         if dists[i] < best:
             best_idx, best = lo + i, float(dists[i])
@@ -242,11 +204,9 @@ class TestElementNet:
     elements: tuple[np.ndarray, ...]
 
 
-def build_test_element_net(
-    dim: int, n_random: int = 24, seed: int = 0, settings: Numerics = DEFAULT
-) -> TestElementNet:
+def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestElementNet:
     """Matrix units plus seeded random Hermitian contractions."""
-    if dim < 1 or dim > settings.max_dim:
+    if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad test-net dimension {dim}")
     rng = np.random.default_rng(seed)
     elements = []
@@ -258,7 +218,7 @@ def build_test_element_net(
     for _ in range(n_random):
         elements.append(random_hermitian_contraction(dim, rng))
     for a in elements:
-        if operator_norm(a) > 1.0 + settings.contraction_slack:
+        if operator_norm(a) > 1.0 + CONTRACTION_SLACK:
             raise NumericalInvariantError("test element exceeds contraction norm")
     return TestElementNet(dim=dim, elements=tuple(elements))
 
@@ -277,7 +237,6 @@ def witness_search(
     psi: VectorState,
     net: UnitaryNet,
     test_net: TestElementNet,
-    settings: Numerics = DEFAULT,
 ) -> WitnessResult | None:
     """First enumerated u with max_a |phi(a) - psi(u a u*)| < 1, if any.
 
@@ -288,7 +247,7 @@ def witness_search(
     """
     if phi.dim != psi.dim or phi.dim != net.dim or net.dim != test_net.dim:
         raise InvalidInputError("state, net, and test-net dimensions must agree")
-    threshold = 1.0 - settings.witness_strictness
+    threshold = 1.0 - WITNESS_STRICTNESS
     stack = np.stack(test_net.elements)
     phi_vals = np.array([evaluate(phi, a) for a in test_net.elements])
     for lo in range(0, len(net), _CHUNK):
@@ -313,16 +272,14 @@ class DistanceBound:
     below_two: bool
 
 
-def distance_bound_check(
-    phi: VectorState, psi: VectorState, u, settings: Numerics = DEFAULT
-) -> DistanceBound:
+def distance_bound_check(phi: VectorState, psi: VectorState, u) -> DistanceBound:
     """||phi - psi o Ad u|| and whether it clears the strict-below-2 bar.
 
     On a full matrix algebra every pair of pure states is unitarily
     equivalent, so the check validates the distance arithmetic rather than
     any implication drawn from it.
     """
-    dist = state_distance(phi, pullback(psi, u, settings))
+    dist = state_distance(phi, pullback(psi, u))
     return DistanceBound(
         norm_distance=dist, below_two=bool(dist < 2.0 - 1e-9)
     )

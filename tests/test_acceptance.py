@@ -14,7 +14,6 @@ from carlab import cli, linalg
 from carlab.intertwiner import (
     block_gaps,
     build_chain,
-    default_test_elements,
     distance_crossing_level,
     intertwining_gap,
     separation_rows,
@@ -130,8 +129,8 @@ def test_criterion_05_intertwining_identity():
         beta = rng.uniform(-1.5, 1.5, size=10)
         chain = build_chain(alpha, beta, 10)
         tests_by_level = {
-            1: default_test_elements(1, seed=seed, n_random=50),
-            2: default_test_elements(2, seed=seed, n_random=50),
+            1: build_test_element_net(2, n_random=50, seed=seed).elements,
+            2: build_test_element_net(4, n_random=50, seed=seed).elements,
         }
         for n in range(1, 11):
             tests = tests_by_level[min(n, 2)]

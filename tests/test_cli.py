@@ -215,3 +215,71 @@ def test_rerun_byte_identical(tmp_path):
     _, first = _run(tmp_path, argv, "a.json")
     _, second = _run(tmp_path, argv, "b.json")
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["min-distance"], ["dim", "trials", "budget"]),
+        (["product-distance"], ["pairs", "budget"]),
+        (["reduce", "--alpha", "zero", "--beta", "zero"],
+         ["alpha", "beta", "levels", "length", "phase_policy", "min_length",
+          "sum_tolerance", "product_floor"]),
+        (["cauchy-gaps", "--alpha", "zero", "--beta", "zero"],
+         ["alpha", "beta", "levels", "max_span", "phase_policy"]),
+        (["separation", "--alpha", "zero", "--beta", "zero"],
+         ["alpha", "beta", "start", "levels", "threshold", "search_limit"]),
+        (["fsigma-search"],
+         ["dim", "pairs", "epsilon", "net", "net_size", "test_elements",
+          "density_check", "density_probes"]),
+        (["product-test", "--family", "geometric"], ["family", "terms"]),
+    ],
+)
+def test_config_key_order(argv, keys):
+    args = cli.build_parser().parse_args(argv + ["--out", "csv", "--seed", "3"])
+    config = cli._config_dict(args)
+    assert list(config) == ["version", "format", "seed"] + keys
+    assert config["format"] == "csv"
+    assert config["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product-distance", "--pairs", "0"],
+        ["min-distance", "--trials", "-3"],
+        ["min-distance", "--trials", "two"],
+        ["fsigma-search", "--pairs", "0"],
+        ["fsigma-search", "--density-check", "--density-probes", "0"],
+        ["cauchy-gaps", "--alpha", "harmonic", "--beta", "zero", "--max-span", "0"],
+        ["cauchy-gaps", "--alpha", "harmonic", "--beta", "zero", "--levels", "1"],
+        ["product-test", "--family", "geometric", "--terms", "0"],
+        ["separation", "--alpha", "invsqrt", "--beta", "zero", "--threshold", "nan"],
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--sum-tolerance", "inf"],
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--product-floor", "-inf"],
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--no-such-flag"],
+    ],
+)
+def test_bad_input_rejected_with_json_record(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert record["exit_code"] == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_value_is_invariant_error(tmp_path, monkeypatch, capsys, fmt, bad):
+    def non_finite(args):
+        return [{"term": 1, "value": 0.5}], {"final_product": bad}
+
+    monkeypatch.setattr(cli, "run_product_test", non_finite)
+    out = tmp_path / f"x.{fmt}"
+    code = cli.main(["product-test", "--family", "geometric", "--out", fmt,
+                     "--output", str(out)])
+    assert code == 4
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "numerical-invariant"
+    assert not out.exists()

@@ -4,6 +4,7 @@ import pytest
 from carlab import intertwiner, linalg, sequences, truncation
 from carlab.errors import InvalidInputError, LevelError
 from carlab.states import evaluate
+from carlab.witness import build_test_element_net
 
 
 def _angles(desc, n):
@@ -133,7 +134,7 @@ def test_intertwining_gap_random_elements():
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         hermitians.append((h + h.conj().T) / 4)
     assert intertwiner.intertwining_gap(chain, 6, hermitians) <= 1e-10
-    batch = intertwiner.default_test_elements(2, seed=7, n_random=50)
+    batch = build_test_element_net(4, n_random=50, seed=7).elements
     assert intertwiner.intertwining_gap(chain, 8, batch) <= 1e-9
 
 
@@ -141,19 +142,12 @@ def test_intertwining_gap_with_phase_policy():
     alpha = _angles("harmonic", 6)
     beta = _angles("zero", 6)
     chain = intertwiner.build_chain(alpha, beta, 6, phase_policy="eigenvalue-one")
-    batch = intertwiner.default_test_elements(2, seed=8, n_random=10)
+    batch = build_test_element_net(4, n_random=10, seed=8).elements
     # phases cancel inside a -> v a v*, so the identity still holds
     assert intertwiner.intertwining_gap(chain, 6, batch) <= 1e-9
     # but the per-step gaps differ from the bare-rotation chain
     bare = intertwiner.build_chain(alpha, beta, 6)
     assert chain.level(1).gap_to_prev > bare.level(1).gap_to_prev
-
-
-def test_default_test_elements_are_contractions():
-    elements = intertwiner.default_test_elements(2, seed=9, n_random=25)
-    assert len(elements) == 16 + 25
-    for a in elements:
-        assert linalg.operator_norm(a) <= 1.0 + 1e-9
 
 
 def test_separation_rows_equal_angles():

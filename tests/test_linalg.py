@@ -97,7 +97,60 @@ def test_trace_norm_projection_difference():
 
 def test_is_unitary():
     assert linalg.is_unitary(np.eye(4), 1e-10)
+    assert linalg.is_unitary(np.eye(4))
     assert not linalg.is_unitary(np.diag([1.0, 2.0]), 1e-10)
+    with pytest.raises(DomainError):
+        linalg.is_unitary(np.eye(2), 0.0)
+
+
+def _hermitian_reference(x, k):
+    """Entry-by-entry assembly, the layout hermitian_from_params must match."""
+    h = np.zeros((k, k), dtype=np.complex128)
+    h[np.diag_indices(k)] = x[:k]
+    pos = k
+    for i in range(k):
+        for j in range(i + 1, k):
+            h[i, j] = x[pos] + 1j * x[pos + 1]
+            h[j, i] = np.conj(h[i, j])
+            pos += 2
+    return h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hermitian_from_params_batched_equals_reference(k):
+    rng = np.random.default_rng(k)
+    params = rng.normal(size=(6, k * k))
+    params[0] = 0.0
+    batch = linalg.hermitian_from_params(params, k)
+    assert batch.shape == (6, k, k)
+    for x, h in zip(params, batch):
+        assert np.array_equal(h, _hermitian_reference(x, k))
+        assert np.array_equal(linalg.hermitian_from_params(x, k), h)
+        assert np.array_equal(h, h.conj().T)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_expi_hermitian_batched_equals_per_matrix(k):
+    rng = np.random.default_rng(10 + k)
+    h = linalg.hermitian_from_params(rng.normal(size=(5, k * k)), k)
+    batch = linalg.expi_hermitian(h)
+    for hi, ui in zip(h, batch):
+        assert np.max(np.abs(linalg.expi_hermitian(hi) - ui)) <= 1e-12
+        w, v = np.linalg.eigh(hi)
+        assert np.max(np.abs((v * np.exp(1j * w)) @ v.conj().T - ui)) <= 1e-12
+        assert linalg.is_unitary(ui, 1e-10)
+    assert np.max(np.abs(linalg.expi_hermitian(np.zeros((k, k))) - np.eye(k))) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_operator_norms_batched_equals_per_matrix(d):
+    rng = np.random.default_rng(20 + d)
+    a = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+    a[0] = 0.0
+    norms = linalg.operator_norms(a)
+    assert norms.shape == (7,)
+    for ai, n in zip(a, norms):
+        assert abs(linalg.operator_norm(ai) - n) <= 1e-12
 
 
 def test_rotation_columns_orthonormal():
