@@ -28,7 +28,6 @@ from .intertwiner import (
     build_chain,
     distance_crossing_level,
     separation_rows,
-    truncated_product_state,
 )
 from .linalg import haar_unitary, phase_align, random_unit_vector
 from .orbit import (
@@ -39,7 +38,7 @@ from .orbit import (
 )
 from .seeding import derive_seeds
 from .sequences import angles_from_descriptor, classify_pair, partial_products, weierstrass_bounds, WindowPolicy
-from .states import VectorState, pullback, state_distance
+from .states import VectorState, pullback
 from .witness import (
     distance_bound_check,
     enumerate_net,
@@ -224,39 +223,31 @@ def run_product_distance(args):
 
 def run_reduce(args):
     """Per-level chain table plus the scalar trend classification."""
-    length = max(args.length, args.levels)
-    alpha = angles_from_descriptor(args.alpha, length)
-    beta = angles_from_descriptor(args.beta, length)
+    if args.length < args.levels:
+        raise InvalidInputError(
+            f"--length {args.length} is below --levels {args.levels}"
+        )
+    alpha = angles_from_descriptor(args.alpha, args.length)
+    beta = angles_from_descriptor(args.beta, args.length)
     chain = build_chain(alpha, beta, args.levels, phase_policy=args.phase_policy)
-    rows = []
-    for record in chain.levels:
-        n = record.n
-        prod = float(partial_products(np.cos(chain.thetas[:n]))[-1])
-        dist = state_distance(
-            truncated_product_state(alpha, n), truncated_product_state(beta, n)
-        )
-        expected = 2.0 * np.sqrt(max(1.0 - prod * prod, 0.0))
-        if abs(dist - expected) > 1e-8:
-            raise NumericalInvariantError(
-                f"distance/overlap duality off by {abs(dist - expected):.3e} at n={n}"
-            )
-        rows.append(
-            {
-                "n": n,
-                "gap_to_prev": record.gap_to_prev,
-                "overlap_bound": record.overlap_bound,
-                "eigenphase_norm": record.eigenphase_norm,
-                "overlap_product": prod,
-                "state_distance": dist,
-            }
-        )
+    rows = [
+        {
+            "n": record.n,
+            "gap_to_prev": record.gap_to_prev,
+            "overlap_bound": record.overlap_bound,
+            "eigenphase_norm": record.eigenphase_norm,
+            "overlap_product": tail.overlap,
+            "state_distance": tail.state_distance,
+        }
+        for record, tail in zip(chain.levels, separation_rows(alpha, beta, 1, args.levels))
+    ]
     policy = WindowPolicy(
         min_length=args.min_length,
         sum_tolerance=args.sum_tolerance,
         product_floor=args.product_floor,
     )
     summary = asdict(classify_pair(alpha, beta, policy))
-    summary["diagnostic_length"] = length
+    summary["diagnostic_length"] = args.length
     return rows, summary
 
 
@@ -281,6 +272,10 @@ def run_cauchy_gaps(args):
 
 def run_separation(args):
     """Tail-state overlap decay, distances, and separating witnesses."""
+    if args.search_limit < args.start:
+        raise InvalidInputError(
+            f"--search-limit {args.search_limit} is below --start {args.start}"
+        )
     length = max(args.search_limit, args.start + args.levels - 1)
     alpha = angles_from_descriptor(args.alpha, length)
     beta = angles_from_descriptor(args.beta, length)
@@ -409,6 +404,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--length", type=int, default=400, help="diagnostic sequence length")
     p.add_argument("--phase-policy", choices=("none", "eigenvalue-one"), default="none")
-    p.add_argument("--min-length", type=int, default=16)
+    p.add_argument("--min-length", type=positive_int, default=16)
     p.add_argument("--sum-tolerance", type=finite_float, default=1e-6)
     p.add_argument("--product-floor", type=finite_float, default=0.05)
     _add_common(p)
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--levels", type=int, default=10)
     p.add_argument("--threshold", type=finite_float, default=1.9)
-    p.add_argument("--search-limit", type=int, default=64)
+    p.add_argument("--search-limit", type=positive_int, default=64)
     _add_common(p)
     p.set_defaults(run=run_separation)
 
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.4)
     p.add_argument("--net", choices=("auto", "exhaustive", "random"), default="auto")
     p.add_argument("--net-size", type=int, default=3000)
-    p.add_argument("--test-elements", type=int, default=24)
+    p.add_argument("--test-elements", type=non_negative_int, default=24)
     p.add_argument("--density-check", action="store_true")
     p.add_argument("--density-probes", type=positive_int, default=100)
     _add_common(p)

@@ -1,8 +1,10 @@
 """Numeric caps and tolerances shared by every module in the package.
 
-Matrices are dense complex128 throughout.  The dimension cap (4096 =
-2**12 factors) keeps eigen-decompositions trustworthy and memory
-bounded; everything above it is rejected rather than approximated.
+Matrices are dense complex128 where they are formed; chains and pairs of
+vector states keep their tensor structure and form none of full
+dimension.  The caps (dimension 4096, level 12) keep eigen-decompositions
+trustworthy and memory bounded; everything above them is rejected rather
+than approximated.
 """
 
 MAX_DIM = 4096

@@ -5,12 +5,14 @@ other; their tensor products form a chain of unitaries whose per-step and
 block gaps are measured densely, computed in closed form from eigenphase
 sign patterns, and compared against the overlap-product bound
 sqrt(2 (1 - prod cos)).  The comparison is reported honestly: the bound
-is known to fail for long blocks, so it is never asserted.
+is known to fail for long blocks, so it is never asserted.  A chain is
+stored as its 2x2 factors; no level's 2^n x 2^n unitary is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -18,29 +20,16 @@ import numpy as np
 from .config import MAX_LEVEL
 from .errors import InvalidInputError, LevelError, NumericalInvariantError
 from .linalg import (
-    is_unitary,
+    as_square_matrix,
     operator_norm,
     phase_combination_norm,
     plane_rotation,
 )
 from .sequences import overlap_partial_products, validate_angles
 from .states import VectorState, separation_witness, state_distance
-from .truncation import embed, product_vector
+from .truncation import level_of_dim, product_vector
 
 PHASE_POLICIES = ("none", "eigenvalue-one")
-
-
-def truncated_product_state(alpha, n: int) -> VectorState:
-    """Level-n truncation of the product state of angles alpha.
-
-    The defining vector is the tensor product of (cos a_j, sin a_j) over
-    the first n angles; values on elements embedded from lower levels
-    depend only on the leading angles.
-    """
-    arr = validate_angles(alpha)
-    if n < 1 or n > arr.size:
-        raise InvalidInputError(f"need 1 <= n <= len(alpha), got n={n}")
-    return VectorState(product_vector(arr[:n]))
 
 
 def step_unitary(alpha_j: float, beta_j: float, phase_policy: str = "none") -> np.ndarray:
@@ -69,14 +58,14 @@ def _step_phase_pair(theta: float, phase_policy: str) -> tuple[float, float]:
 class ChainLevel:
     """One level of the chain with its gap data.
 
-    `gap_to_prev` is the measured ||previous (x) I - current||, which
-    collapses to the norm of I - (new factor); `overlap_bound` is the
-    claimed estimate sqrt(2 (1 - cos theta_n)); `eigenphase_norm` is the
-    exact closed form from the step's eigenphases.
+    `factor` is the 2x2 step u_n (the level is u_1 (x) ... (x) u_n);
+    `gap_to_prev` is the measured ||previous (x) I - current|| = ||I - u_n||;
+    `overlap_bound` is the claimed estimate sqrt(2 (1 - cos theta_n));
+    `eigenphase_norm` is the exact closed form from the step's eigenphases.
     """
 
     n: int
-    unitary: np.ndarray
+    factor: np.ndarray
     gap_to_prev: float
     overlap_bound: float
     eigenphase_norm: float
@@ -109,9 +98,9 @@ def build_chain(
 ) -> IntertwinerChain:
     """Build the chain of tensor products of step unitaries up to `levels`.
 
-    Each chain element is verified to be unitary and to carry the prefix
-    product vector of alpha onto that of beta (exactly for the bare
-    rotations, up to the accumulated phase otherwise).
+    Each level is verified, from its factors, to be unitary and to carry
+    the prefix product vector of alpha onto that of beta (exactly for the
+    bare rotations, up to the accumulated phase otherwise).
     """
     a = validate_angles(alpha)
     b = validate_angles(beta)
@@ -123,10 +112,8 @@ def build_chain(
         raise LevelError(f"levels {levels} exceeds cap {MAX_LEVEL}")
 
     records = []
-    v = np.ones((1, 1), dtype=np.complex128)
     for n in range(1, levels + 1):
         u = step_unitary(a[n - 1], b[n - 1], phase_policy)
-        v = np.kron(v, u)
         theta = float(a[n - 1] - b[n - 1])
         # previous (x) I - current = previous (x) (I - u), and tensoring with
         # a unitary preserves the operator norm
@@ -134,7 +121,7 @@ def build_chain(
         records.append(
             ChainLevel(
                 n=n,
-                unitary=v,
+                factor=u,
                 gap_to_prev=gap,
                 overlap_bound=float(np.sqrt(2.0 * (1.0 - np.cos(theta)))),
                 eigenphase_norm=phase_combination_norm(
@@ -149,14 +136,24 @@ def build_chain(
     return chain
 
 
+def _factorwise_image(factors: Sequence[np.ndarray], angles) -> np.ndarray:
+    """(x)_j f_j (cos a_j, sin a_j), without forming the product of the f_j."""
+    out = np.ones(1, dtype=np.complex128)
+    for f, a in zip(factors, angles):
+        out = np.kron(out, f @ np.array([np.cos(a), np.sin(a)]))
+    return out
+
+
 def _verify_chain(chain: IntertwinerChain) -> None:
     tol = 1e-9
+    factors = [record.factor for record in chain.levels]
+    drift = 1.0  # bounds ||(x)_j u_j*u_j - I|| by prod_j (1 + ||u_j*u_j - I||) - 1
     for record in chain.levels:
-        if not is_unitary(record.unitary, tol):
+        drift *= 1.0 + operator_norm(record.factor.conj().T @ record.factor - np.eye(2))
+        if drift - 1.0 > tol:
             raise NumericalInvariantError(f"chain level {record.n} is not unitary")
-        xi = product_vector(chain.alpha[: record.n])
+        image = _factorwise_image(factors[: record.n], chain.alpha)
         eta = product_vector(chain.beta[: record.n])
-        image = record.unitary @ xi
         if chain.phase_policy == "none":
             err = np.linalg.norm(image - eta)
         else:
@@ -175,19 +172,21 @@ def intertwining_gap(
     """max |phi_alpha(a) - phi_beta(v_n a v_n*)| over embedded test elements.
 
     Exact in exact arithmetic because the chain carries one prefix product
-    vector onto the other; everything is evaluated through matrix-vector
-    products only.
+    vector onto the other; v_n* eta_n is formed factorwise, and a (x) I
+    acts on each vector X reshaped to 2^m x 2^(n-m) as tr(a X X*).
     """
-    record = chain.level(n)
+    chain.level(n)  # LevelError unless 1 <= n <= levels
     xi = product_vector(chain.alpha[:n])
-    eta = product_vector(chain.beta[:n])
-    pulled = record.unitary.conj().T @ eta
+    pulled = _factorwise_image([r.factor.conj().T for r in chain.levels[:n]], chain.beta)
     worst = 0.0
     for a in test_elements:
-        big = embed(a, n)
-        lhs = np.vdot(xi, big @ xi)
-        rhs = np.vdot(pulled, big @ pulled)
-        worst = max(worst, abs(lhs - rhs))
+        a = as_square_matrix(a)
+        m = level_of_dim(a.shape[0])
+        if m > n:
+            raise LevelError(f"cannot embed level {m} into lower level {n}")
+        x = xi.reshape(a.shape[0], -1)
+        y = pulled.reshape(a.shape[0], -1)
+        worst = max(worst, abs(np.vdot(x, a @ x) - np.vdot(y, a @ y)))
     return float(worst)
 
 
@@ -206,16 +205,16 @@ class BlockGap:
 def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
     """Compare ||v_m (x) I - v_n|| against its closed form and the bound.
 
-    `measured` comes from a dense eigen-decomposition; `eigenphase_norm`
-    from the sign-pattern formula over the block's factors; the bound is
-    sqrt(2 (1 - prod cos)) over the same factors and is flagged, not
-    asserted, whenever the measurement exceeds it.
+    `measured` is the dense norm of I - W on 2^(n-m) dimensions, exact as
+    v_n = v_m (x) W with W = u_{m+1} (x) ... (x) u_n and v_m (x) I unitary;
+    `eigenphase_norm` from the sign-pattern formula over the block's
+    factors; the bound is sqrt(2 (1 - prod cos)) over the same factors and
+    is flagged, not asserted, whenever the measurement exceeds it.
     """
     if not 1 <= m < n <= len(chain.levels):
         raise LevelError(f"need 1 <= m < n <= {len(chain.levels)}")
-    vm = embed(chain.level(m).unitary, n)
-    vn = chain.level(n).unitary
-    measured = operator_norm(vm - vn)
+    block = reduce(np.kron, [record.factor for record in chain.levels[m:n]])
+    measured = operator_norm(np.eye(block.shape[0], dtype=np.complex128) - block)
     thetas = chain.thetas[m:n]
     spectral = phase_combination_norm(
         [_step_phase_pair(float(t), chain.phase_policy) for t in thetas]

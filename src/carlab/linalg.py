@@ -78,28 +78,28 @@ def trace_norm(a) -> float:
     return float(np.sum(np.sqrt(eigs)))
 
 
-def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
-    """True iff ||a*a - I|| <= tol in operator norm."""
-    if tol <= 0:
-        raise DomainError("unitarity tolerance must be positive")
+def is_unitary(a) -> bool:
+    """True iff ||a*a - I|| <= UNITARY_TOL in operator norm."""
     a = as_square_matrix(a)
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    return operator_norm(a.conj().T @ a - eye) <= tol
+    return operator_norm(a.conj().T @ a - eye) <= UNITARY_TOL
 
 
 def operator_norms(a: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (n, d, d) stack.
 
-    2x2 matrices take the closed form from trace and determinant of a*a;
-    larger ones the top eigenvalue of each a*a.
+    2x2 matrices take the closed form (A+C)/2 + sqrt(((A-C)/2)^2 + |B|^2)
+    from the entries of a*a = [[A, B], [B*, C]], which does not cancel when
+    the singular values coincide; larger ones the top eigenvalue of each a*a.
     """
     d = a.shape[-1]
     if d == 2:
         p, q = a[:, 0, 0], a[:, 0, 1]
         r, s = a[:, 1, 0], a[:, 1, 1]
-        trace = (np.abs(p) ** 2 + np.abs(q) ** 2 + np.abs(r) ** 2 + np.abs(s) ** 2).real
-        det = np.abs(p * s - q * r) ** 2
-        lam = 0.5 * (trace + np.sqrt(np.clip(trace**2 - 4.0 * det, 0.0, None)))
+        top = np.abs(p) ** 2 + np.abs(r) ** 2
+        bottom = np.abs(q) ** 2 + np.abs(s) ** 2
+        off = np.abs(p.conj() * q + r.conj() * s)
+        lam = 0.5 * (top + bottom) + np.hypot(0.5 * (top - bottom), off)
         return np.sqrt(lam)
     gram = np.einsum("nji,njk->nik", a.conj(), a)
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
@@ -181,6 +181,9 @@ def two_plane_unitary(xi, eta) -> np.ndarray:
     d = xi.shape[0]
     c = np.vdot(xi, eta)
     resid = eta - c * xi
+    # a second Gram-Schmidt pass: when eta is nearly colinear with xi the
+    # first leaves a residual whose relative error against xi is eps / s
+    resid -= np.vdot(xi, resid) * xi
     s = np.linalg.norm(resid)
     u = np.eye(d, dtype=np.complex128)
     if s <= 1e-12:
@@ -239,12 +242,15 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary (QR of a complex Ginibre matrix)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Haar-distributed random unitary (QR of a complex Ginibre matrix).
+
+    `count` draws a stack from the same stream as `count` single calls.
+    """
+    g = rng.normal(size=(2, dim, dim) if count is None else (count, 2, dim, dim))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_hermitian_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:

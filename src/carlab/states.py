@@ -1,9 +1,9 @@
 """Vector states on matrix algebras.
 
 A state is represented by its defining unit vector, never by a density
-matrix; density matrices appear only transiently inside trace-norm
-distances.  This keeps purity exact and makes unitary pullback a single
-matrix-vector product.
+matrix.  This keeps purity exact and makes unitary pullback a single
+matrix-vector product; quantities of a pair of states are computed on
+their span, whatever the dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .linalg import (
     as_unit_vector,
     is_unitary,
     operator_norm,
-    projector,
     trace_norm,
 )
 
@@ -71,21 +70,30 @@ def pullback(state: VectorState, u) -> VectorState:
     return VectorState(u.conj().T @ state.vector)
 
 
+def _on_span(xi: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """P_xi - P_eta, xi and eta in an orthonormal basis of span{xi, eta}.
+
+    The R factor of a QR of the d x 2 matrix [xi eta] holds the coordinates
+    in the columns of Q; exact also for colinear pairs and d = 1.
+    """
+    if xi.shape != eta.shape:
+        raise InvalidInputError(f"dimension mismatch: {xi.shape[0]} vs {eta.shape[0]}")
+    x, y = np.linalg.qr(np.stack([xi, eta], axis=1), mode="r").T
+    return np.outer(x, x.conj()) - np.outer(y, y.conj()), x, y
+
+
 def state_distance(phi: VectorState, psi: VectorState) -> float:
     """Norm of the functional difference, as a trace-norm of projections.
 
     Equals 2 sqrt(1 - |<v_phi|v_psi>|^2) for vector states.
     """
-    if phi.dim != psi.dim:
-        raise InvalidInputError(f"dimension mismatch: {phi.dim} vs {psi.dim}")
-    return trace_norm(projector(phi.vector) - projector(psi.vector))
+    return trace_norm(_on_span(phi.vector, psi.vector)[0])
 
 
 @dataclass(frozen=True)
 class SeparationWitness:
-    """Difference of rank-one projections and its two expectations."""
+    """Expectations and norm of the difference of rank-one projections."""
 
-    observable: np.ndarray
     first_value: float
     second_value: float
     norm: float
@@ -98,19 +106,10 @@ def separation_witness(xi, eta) -> SeparationWitness:
     c^2 - 1 in the second, and the observable has norm sqrt(1 - c^2): close
     to orthogonality it almost realizes the full functional distance 2.
     """
-    xi = as_unit_vector(xi)
-    eta = as_unit_vector(eta)
-    if xi.shape != eta.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: {xi.shape[0]} vs {eta.shape[0]}"
-        )
-    a = projector(xi) - projector(eta)
-    first = complex(np.vdot(xi, a @ xi))
-    second = complex(np.vdot(eta, a @ eta))
+    a, x, y = _on_span(as_unit_vector(xi), as_unit_vector(eta))
     return SeparationWitness(
-        observable=a,
-        first_value=float(first.real),
-        second_value=float(second.real),
+        first_value=float(np.vdot(x, a @ x).real),
+        second_value=float(np.vdot(y, a @ y).real),
         norm=operator_norm(a),
     )
 

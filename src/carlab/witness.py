@@ -31,7 +31,8 @@ from .linalg import (
 )
 from .states import VectorState, evaluate, pullback, state_distance
 
-_DEFAULT_NET_CAP = 2_000_000
+# 128 MB of complex128 elements: 2,000,000 unitaries at dim 2
+_NET_BYTES_CAP = 128_000_000
 _CHUNK = 8192
 
 
@@ -80,40 +81,37 @@ def _check_all_unitary(elements: np.ndarray) -> None:
         raise NumericalInvariantError(f"net element off unitarity by {worst:.3e}")
 
 
+def _check_net_size(dim: int, elements: float, what: str) -> None:
+    """Refuse a net whose element array would exceed the byte cap."""
+    cap = _NET_BYTES_CAP // (16 * dim * dim)
+    if elements > cap:
+        raise SizeLimitError(
+            f"{what} needs about {elements:.3e} elements "
+            f"(cap {cap}, {_NET_BYTES_CAP} bytes)",
+            estimated_size=elements,
+        )
+
+
 def _dedup(elements: np.ndarray) -> np.ndarray:
-    seen: set[bytes] = set()
-    keep = []
-    rounded = np.round(elements, 9)
-    for i in range(elements.shape[0]):
-        key = rounded[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return elements[keep]
+    """First occurrence of each element, keyed by its entries rounded to 1e-9."""
+    rounded = np.ascontiguousarray(np.round(elements, 9)).reshape(elements.shape[0], -1)
+    keys = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))
+    first = np.unique(keys.ravel(), return_index=True)[1]
+    return elements[np.sort(first)]
 
 
-def enumerate_net(
-    dim: int,
-    epsilon: float,
-    max_size: int = _DEFAULT_NET_CAP,
-) -> UnitaryNet:
+def enumerate_net(dim: int, epsilon: float) -> UnitaryNet:
     """Exhaustive epsilon-dense net of the dim-dimensional unitary group.
 
     Enumeration is lexicographic over the generator grid with the identity
     prepended as element 0; near-duplicates are removed by rounded-entry
-    hashing.  When the grid cardinality exceeds `max_size` the request is
-    refused with the estimate attached: that is the signal to fall back to
-    a random net.
+    keys.  When the grid is too large to hold, the request is refused with
+    the estimate attached: that is the signal to fall back to a random net.
     """
     if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad net dimension {dim}")
     points, estimated = exhaustive_net_plan(dim, epsilon)
-    if estimated > max_size:
-        raise SizeLimitError(
-            f"exhaustive net at dim {dim}, resolution {epsilon} needs about "
-            f"{estimated:.3e} elements (cap {max_size})",
-            estimated_size=estimated,
-        )
+    _check_net_size(dim, estimated, f"exhaustive net at dim {dim}, resolution {epsilon}")
     grid = np.linspace(-np.pi, np.pi, points)
     # every grid point of the dim*dim generator parameters, lexicographic
     axes = np.meshgrid(*([grid] * (dim * dim)), indexing="ij")
@@ -144,11 +142,10 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
         raise InvalidInputError("net size must be positive")
     if not 0.0 < epsilon <= 1.0:
         raise DomainError("net resolution must lie in (0, 1]")
+    _check_net_size(dim, size + 1, f"random net at dim {dim}")
     rng = np.random.default_rng(seed)
-    elements = np.empty((size + 1, dim, dim), dtype=np.complex128)
-    elements[0] = np.eye(dim)
-    for i in range(1, size + 1):
-        elements[i] = haar_unitary(dim, rng)
+    identity = np.eye(dim, dtype=np.complex128)[None, :, :]
+    elements = np.concatenate([identity, haar_unitary(dim, rng, count=size)])
     _check_all_unitary(elements)
     return UnitaryNet(
         dim=dim,

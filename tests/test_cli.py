@@ -172,6 +172,42 @@ def test_exit_code_size_limit(tmp_path, capsys):
     assert record["estimated_size"] > 0
 
 
+def test_random_net_over_size_cap_refused(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = cli.main(["fsigma-search", "--dim", "16", "--net", "random",
+                     "--net-size", "100000000", "--output", str(out)])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "size-limit"
+    assert record["estimated_size"] == 100000001
+    assert not out.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-distance", "--trials", "2", "--budget", "1000"],
+        ["product-distance", "--pairs", "1", "--budget", "1000"],
+        ["reduce", "--alpha", "harmonic", "--beta", "zero", "--levels", "4",
+         "--length", "64"],
+        ["cauchy-gaps", "--alpha", "harmonic", "--beta", "zero", "--levels", "4"],
+        ["separation", "--alpha", "invsqrt", "--beta", "zero", "--levels", "4"],
+        ["fsigma-search", "--pairs", "2", "--epsilon", "0.9", "--density-check",
+         "--density-probes", "3"],
+        ["product-test", "--family", "telescoping"],
+    ],
+)
+def test_artifacts_are_strict_json(tmp_path, argv):
+    code, out = _run(tmp_path, argv, "strict.json")
+    assert code == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["experiment"] == argv[0]
+
+
 def test_exit_code_io_error(tmp_path):
     code = cli.main(["product-test", "--family", "telescoping", "--terms", "5",
                      "--output", str(tmp_path / "missing" / "x.json")])
@@ -258,6 +294,15 @@ def test_config_key_order(argv, keys):
         ["reduce", "--alpha", "zero", "--beta", "zero", "--sum-tolerance", "inf"],
         ["reduce", "--alpha", "zero", "--beta", "zero", "--product-floor", "-inf"],
         ["reduce", "--alpha", "zero", "--beta", "zero", "--no-such-flag"],
+        ["fsigma-search", "--test-elements", "-3"],
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--min-length", "0"],
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--levels", "3",
+         "--length", "-5", "--min-length", "-1"],
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--levels", "3",
+         "--length", "2"],
+        ["separation", "--alpha", "invsqrt", "--beta", "zero", "--search-limit", "-1"],
+        ["separation", "--alpha", "invsqrt", "--beta", "zero", "--start", "5",
+         "--search-limit", "4"],
     ],
 )
 def test_bad_input_rejected_with_json_record(tmp_path, capsys, argv):

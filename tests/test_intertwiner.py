@@ -1,9 +1,12 @@
+from dataclasses import replace
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from carlab import intertwiner, linalg, sequences, truncation
-from carlab.errors import InvalidInputError, LevelError
-from carlab.states import evaluate
+from carlab.errors import InvalidInputError, LevelError, NumericalInvariantError
+from carlab.states import VectorState, evaluate
 from carlab.witness import build_test_element_net
 
 
@@ -11,29 +14,29 @@ def _angles(desc, n):
     return sequences.angles_from_descriptor(desc, n)
 
 
+def _dense_level(chain, n):
+    """Reference only: the 2^n x 2^n level unitary u_1 (x) ... (x) u_n."""
+    return reduce(np.kron, [record.factor for record in chain.levels[:n]])
+
+
 def test_truncated_product_state_zero_angles():
-    state = intertwiner.truncated_product_state(np.zeros(4), 3)
+    state = VectorState(truncation.product_vector(np.zeros(4)[:3]))
     a = np.diag(np.arange(8.0))
     assert evaluate(state, a) == pytest.approx(0.0)
     assert state.level == 3
 
 
 def test_truncated_product_state_single_factor():
-    state = intertwiner.truncated_product_state([0.3], 1)
+    state = VectorState(truncation.product_vector([0.3]))
     np.testing.assert_allclose(state.vector, [np.cos(0.3), np.sin(0.3)])
-
-
-def test_truncated_product_state_needs_enough_angles():
-    with pytest.raises(InvalidInputError):
-        intertwiner.truncated_product_state([0.1, 0.2], 3)
 
 
 def test_truncated_state_embedding_consistency():
     rng = np.random.default_rng(0)
     alpha = rng.uniform(-1.0, 1.0, size=6)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    low = evaluate(intertwiner.truncated_product_state(alpha, 2), a)
-    high = evaluate(intertwiner.truncated_product_state(alpha, 6), truncation.embed(a, 6))
+    low = evaluate(VectorState(truncation.product_vector(alpha[:2])), a)
+    high = evaluate(VectorState(truncation.product_vector(alpha)), truncation.embed(a, 6))
     assert abs(low - high) <= 1e-12
 
 
@@ -47,7 +50,9 @@ def test_chain_identity_when_angles_equal():
     alpha = _angles("harmonic", 5)
     chain = intertwiner.build_chain(alpha, alpha, 5)
     for record in chain.levels:
-        np.testing.assert_allclose(record.unitary, np.eye(2**record.n), atol=1e-14)
+        np.testing.assert_allclose(
+            _dense_level(chain, record.n), np.eye(2**record.n), atol=1e-14
+        )
         assert record.gap_to_prev == pytest.approx(0.0, abs=1e-12)
 
 
@@ -78,7 +83,43 @@ def test_chain_carries_product_vectors():
     for n in (1, 4, 7):
         xi = truncation.product_vector(alpha[:n])
         eta = truncation.product_vector(beta[:n])
-        assert np.linalg.norm(chain.level(n).unitary @ xi - eta) <= 1e-9
+        assert np.linalg.norm(_dense_level(chain, n) @ xi - eta) <= 1e-9
+
+
+@pytest.mark.parametrize("policy", intertwiner.PHASE_POLICIES)
+def test_dense_level_cross_check(policy):
+    rng = np.random.default_rng(3)
+    alpha = rng.uniform(-1.2, 1.2, size=8)
+    beta = rng.uniform(-1.2, 1.2, size=8)
+    chain = intertwiner.build_chain(alpha, beta, 8, phase_policy=policy)
+    for n in range(1, 9):
+        v = _dense_level(chain, n)
+        assert linalg.operator_norm(v.conj().T @ v - np.eye(2**n)) <= 1e-10
+        image = v @ truncation.product_vector(alpha[:n])
+        eta = truncation.product_vector(beta[:n])
+        if policy == "none":
+            assert np.linalg.norm(image - eta) <= 1e-12
+        else:
+            assert abs(1.0 - abs(np.vdot(image, eta))) <= 1e-12
+
+
+def test_verify_chain_bounds_accumulated_drift():
+    # each factor is off unitarity by 3e-10, under the 1e-9 tolerance alone;
+    # the level-n product is off by (1 + 3e-10)^n - 1, over it from n = 4
+    chain = intertwiner.build_chain(np.zeros(8), np.zeros(8), 8)
+    scaled = tuple(
+        replace(record, factor=record.factor * (1.0 + 1.5e-10)) for record in chain.levels
+    )
+    intertwiner._verify_chain(replace(chain, levels=scaled[:3]))
+    with pytest.raises(NumericalInvariantError, match="level 4 is not unitary"):
+        intertwiner._verify_chain(replace(chain, levels=scaled))
+
+
+def test_verify_chain_rejects_missed_carrier():
+    chain = intertwiner.build_chain([0.3, 0.2], [0.1, 0.0], 2)
+    swapped = replace(chain, beta=chain.beta[::-1].copy())
+    with pytest.raises(NumericalInvariantError, match="carrier"):
+        intertwiner._verify_chain(swapped)
 
 
 def test_chain_length_validation():
@@ -109,6 +150,17 @@ def test_block_gap_against_tail_product_example():
     assert gap.measured == pytest.approx(
         linalg.rotation_block_norm(alpha[2:6]), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("policy", intertwiner.PHASE_POLICIES)
+def test_block_gap_dense_cross_check(policy):
+    alpha = _angles("random:0.9:5", 8)
+    beta = _angles("harmonic", 8)
+    chain = intertwiner.build_chain(alpha, beta, 8, phase_policy=policy)
+    for gap in intertwiner.block_gaps(chain, max_span=7):
+        vm = truncation.embed(_dense_level(chain, gap.start), gap.end)
+        dense = linalg.operator_norm(vm - _dense_level(chain, gap.end))
+        assert abs(gap.measured - dense) <= 1e-12
 
 
 def test_block_gap_bad_indices():
@@ -148,6 +200,42 @@ def test_intertwining_gap_with_phase_policy():
     # but the per-step gaps differ from the bare-rotation chain
     bare = intertwiner.build_chain(alpha, beta, 6)
     assert chain.level(1).gap_to_prev > bare.level(1).gap_to_prev
+
+
+@pytest.mark.parametrize("policy", intertwiner.PHASE_POLICIES)
+def test_intertwining_gap_dense_cross_check(policy):
+    rng = np.random.default_rng(4)
+    alpha = rng.uniform(-1.2, 1.2, size=8)
+    beta = rng.uniform(-1.2, 1.2, size=8)
+    chain = intertwiner.build_chain(alpha, beta, 8, phase_policy=policy)
+    for n in (1, 5, 8):
+        xi = truncation.product_vector(alpha[:n])
+        pulled = _dense_level(chain, n).conj().T @ truncation.product_vector(beta[:n])
+        for m in range(0, n + 1, 2):
+            elements = [
+                rng.normal(size=(2**m, 2**m)) + 1j * rng.normal(size=(2**m, 2**m))
+                for _ in range(3)
+            ]
+            dense = max(
+                abs(np.vdot(xi, truncation.embed(a, n) @ xi)
+                    - np.vdot(pulled, truncation.embed(a, n) @ pulled))
+                for a in elements
+            )
+            assert abs(intertwiner.intertwining_gap(chain, n, elements) - dense) <= 1e-12
+
+
+def test_intertwining_gap_rejects_bad_levels_and_elements():
+    chain = intertwiner.build_chain([0.1, 0.2, 0.3], [0.0, 0.0, 0.0], 3)
+    with pytest.raises(LevelError):
+        intertwiner.intertwining_gap(chain, 2, [np.eye(8)])
+    with pytest.raises(LevelError):
+        intertwiner.intertwining_gap(chain, 4, [np.eye(2)])
+    with pytest.raises(LevelError):
+        intertwiner.intertwining_gap(chain, 3, [np.eye(3)])
+    with pytest.raises(InvalidInputError):
+        intertwiner.intertwining_gap(chain, 3, [np.ones((2, 4))])
+    with pytest.raises(InvalidInputError):
+        intertwiner.intertwining_gap(chain, 3, [np.diag([1.0, np.nan])])
 
 
 def test_separation_rows_equal_angles():

@@ -96,11 +96,11 @@ def test_trace_norm_projection_difference():
 
 
 def test_is_unitary():
-    assert linalg.is_unitary(np.eye(4), 1e-10)
     assert linalg.is_unitary(np.eye(4))
-    assert not linalg.is_unitary(np.diag([1.0, 2.0]), 1e-10)
-    with pytest.raises(DomainError):
-        linalg.is_unitary(np.eye(2), 0.0)
+    assert not linalg.is_unitary(np.diag([1.0, 2.0]))
+    # the tolerance is UNITARY_TOL = 1e-10
+    assert linalg.is_unitary(np.diag([1.0, 1.0 + 4e-11]))
+    assert not linalg.is_unitary(np.diag([1.0, 1.0 + 6e-11]))
 
 
 def _hermitian_reference(x, k):
@@ -138,7 +138,7 @@ def test_expi_hermitian_batched_equals_per_matrix(k):
         assert np.max(np.abs(linalg.expi_hermitian(hi) - ui)) <= 1e-12
         w, v = np.linalg.eigh(hi)
         assert np.max(np.abs((v * np.exp(1j * w)) @ v.conj().T - ui)) <= 1e-12
-        assert linalg.is_unitary(ui, 1e-10)
+        assert linalg.is_unitary(ui)
     assert np.max(np.abs(linalg.expi_hermitian(np.zeros((k, k))) - np.eye(k))) == 0.0
 
 
@@ -151,13 +151,28 @@ def test_operator_norms_batched_equals_per_matrix(d):
     assert norms.shape == (7,)
     for ai, n in zip(a, norms):
         assert abs(linalg.operator_norm(ai) - n) <= 1e-12
+    # equal singular values: the 2x2 closed form must not cancel
+    unitaries = linalg.haar_unitary(d, rng, count=200)
+    scales = rng.uniform(0.1, 3.0, size=(200, 1, 1))
+    for stack in (unitaries, scales * unitaries):
+        for ai, n in zip(stack, linalg.operator_norms(stack)):
+            assert abs(linalg.operator_norm(ai) - n) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_haar_unitary_stack_equals_single_draws(dim):
+    single_rng = np.random.default_rng(dim)
+    singles = [linalg.haar_unitary(dim, single_rng) for _ in range(50)]
+    stack = linalg.haar_unitary(dim, np.random.default_rng(dim), count=50)
+    assert stack.shape == (50, dim, dim)
+    assert np.array_equal(stack, np.stack(singles))
 
 
 def test_rotation_columns_orthonormal():
     u = linalg.rotation_unitary(np.cos(0.3))
     gram = u.conj().T @ u
     assert np.linalg.norm(gram - np.eye(2)) <= 1e-12
-    assert linalg.is_unitary(u, 1e-10)
+    assert linalg.is_unitary(u)
 
 
 def test_rotation_unitary_endpoints():
@@ -207,7 +222,7 @@ def test_two_plane_unitary_random_pairs():
         eta = linalg.random_unit_vector(8, rng)
         u = linalg.two_plane_unitary(xi, eta)
         assert np.linalg.norm(u @ xi - eta) <= 1e-10
-        assert linalg.is_unitary(u, 1e-10)
+        assert linalg.is_unitary(u)
         # independent check via Gram-Schmidt of the excursion size
         c = np.vdot(xi, eta)
         assert abs(linalg.operator_norm(np.eye(8) - u) - np.sqrt(2 * (1 - c.real))) <= 1e-8
@@ -227,7 +242,28 @@ def test_two_plane_unitary_colinear():
     lam = np.exp(1.7j)
     u = linalg.two_plane_unitary(xi, lam * xi)
     assert np.linalg.norm(u @ xi - lam * xi) <= 1e-12
-    assert linalg.is_unitary(u, 1e-10)
+    assert linalg.is_unitary(u)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    dim=st.integers(2, 4),
+    log_s=st.floats(-15.0, -6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_plane_unitary_nearly_colinear(dim, log_s, seed):
+    # eta = c xi + s w with w orthogonal to xi and |c|^2 + s^2 = 1
+    rng = np.random.default_rng(seed)
+    s = 10.0**log_s
+    xi = linalg.random_unit_vector(dim, rng)
+    w = linalg.random_unit_vector(dim, rng)
+    w -= np.vdot(xi, w) * xi
+    w -= np.vdot(xi, w) * xi
+    w /= np.linalg.norm(w)
+    eta = np.sqrt(1.0 - s * s) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi + s * w
+    u = linalg.two_plane_unitary(xi, eta)
+    assert linalg.operator_norm(u.conj().T @ u - np.eye(dim)) <= 1e-10
+    assert np.linalg.norm(u @ xi - eta) <= 1e-9
 
 
 def test_two_plane_unitary_dimension_mismatch():

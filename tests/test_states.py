@@ -131,7 +131,7 @@ def test_state_distance_duality(dim):
 def test_separation_witness_equal_and_orthogonal():
     xi = np.array([1.0, 0.0])
     same = separation_witness(xi, xi)
-    assert np.linalg.norm(same.observable) <= 1e-14
+    assert same.norm <= 1e-14
     assert same.first_value == pytest.approx(0.0, abs=1e-14)
     assert same.second_value == pytest.approx(0.0, abs=1e-14)
     other = separation_witness(xi, np.array([0.0, 1.0]))
@@ -146,6 +146,47 @@ def test_separation_witness_quarter_overlap():
     assert abs(wit.first_value - 0.9375) <= 1e-10
     assert abs(wit.second_value + 0.9375) <= 1e-10
     assert abs(wit.norm - np.sqrt(1 - 0.0625)) <= 1e-8
+
+
+def _span_test_pair(dim, kind, s, phase, seed):
+    rng = np.random.default_rng(seed)
+    xi = linalg.random_unit_vector(dim, rng)
+    if kind == "colinear" or dim == 1:
+        return xi, np.exp(1j * phase) * xi
+    w = linalg.random_unit_vector(dim, rng)
+    w -= np.vdot(xi, w) * xi
+    w -= np.vdot(xi, w) * xi
+    w /= np.linalg.norm(w)
+    if kind == "orthogonal":
+        return xi, w
+    return xi, np.sqrt(1.0 - s * s) * np.exp(1j * phase) * xi + s * w
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    dim=st.sampled_from([1, 2, 3, 8, 64, 256]),
+    kind=st.sampled_from(["colinear", "orthogonal", "general"]),
+    log_s=st.floats(-15.0, 0.0),
+    phase=st.floats(0.0, 2 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_quantities_match_dense_projector_difference(dim, kind, log_s, phase, seed):
+    """Cross-check against the dense d x d difference of projections."""
+    xi, eta = _span_test_pair(dim, kind, 10.0**log_s, phase, seed)
+    dense = linalg.projector(xi) - linalg.projector(eta)
+    got = state_distance(VectorState(xi), VectorState(eta))
+    assert abs(got - linalg.trace_norm(dense)) <= 1e-12
+    wit = separation_witness(xi, eta)
+    assert abs(wit.first_value - np.vdot(xi, dense @ xi).real) <= 1e-12
+    assert abs(wit.second_value - np.vdot(eta, dense @ eta).real) <= 1e-12
+    assert abs(wit.norm - linalg.operator_norm(dense)) <= 1e-12
+
+
+def test_state_distance_dimension_mismatch():
+    with pytest.raises(InvalidInputError):
+        state_distance(VectorState(np.array([1.0, 0.0])), VectorState(np.array([1.0, 0, 0])))
+    with pytest.raises(InvalidInputError):
+        separation_witness(np.array([1.0, 0.0]), np.array([1.0, 0, 0]))
 
 
 def test_sup_gap_trivial():

@@ -18,7 +18,7 @@ def test_exhaustive_net_identity_first_and_unitary():
     np.testing.assert_allclose(net.elements[0], np.eye(2), atol=1e-14)
     sample = net.elements[:: max(1, len(net) // 50)]
     for u in sample:
-        assert linalg.is_unitary(u, 1e-9)
+        assert linalg.is_unitary(u)
 
 
 def test_exhaustive_net_contains_nearby_rotation():
@@ -32,6 +32,39 @@ def test_exhaustive_net_size_limit():
         witness.enumerate_net(4, 0.4)
     assert info.value.estimated_size is not None
     assert info.value.estimated_size > 1e6
+
+
+def test_net_size_cap_is_shared_and_checked_before_allocating():
+    # 128 MB of elements: 2,000,000 at dim 2, the largest exhaustive net
+    with pytest.raises(SizeLimitError) as info:
+        witness.random_net(16, 0.4, size=100_000_000, seed=0)
+    assert info.value.estimated_size == 100_000_001
+    with pytest.raises(SizeLimitError):
+        witness.random_net(2, 0.4, size=2_000_000, seed=0)
+    assert len(witness.random_net(16, 0.4, size=10, seed=0)) == 11
+
+
+def _dedup_reference(elements):
+    """The first-occurrence set loop that _dedup must reproduce."""
+    seen, keep = set(), []
+    rounded = np.round(elements, 9)
+    for i in range(elements.shape[0]):
+        key = rounded[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return elements[keep]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dedup_keeps_first_occurrences(dim):
+    rng = np.random.default_rng(dim)
+    base = linalg.haar_unitary(dim, rng, count=40)
+    picks = rng.integers(0, 40, size=300)
+    noisy = base[picks] + 1e-13 * rng.normal(size=(300, dim, dim))
+    out = witness._dedup(noisy)
+    assert np.array_equal(out, _dedup_reference(noisy))
+    assert len(np.unique(picks)) <= len(out) < 300
 
 
 def test_exhaustive_net_statistical_density():
@@ -107,7 +140,7 @@ def test_witness_search_soundness_on_random_net():
 
 def test_witness_gap_tracks_state_distance_when_identity_probe():
     # sup over a rich test net sits between 2(1-c^2) and 2 sqrt(1-c^2)
-    from carlab.states import separation_witness, sup_gap
+    from carlab.states import sup_gap
 
     tests = witness.build_test_element_net(2, n_random=16, seed=7)
     previous = None
@@ -115,7 +148,8 @@ def test_witness_gap_tracks_state_distance_when_identity_probe():
         xi = np.array([1.0, 0.0])
         eta = np.array([c, np.sqrt(1 - c * c)])
         phi, psi = VectorState(xi), VectorState(eta)
-        elements = list(tests.elements) + [separation_witness(xi, eta).observable]
+        observable = linalg.projector(xi) - linalg.projector(eta)
+        elements = list(tests.elements) + [observable]
         gap = sup_gap(phi, psi, np.eye(2), elements)
         assert 2 * (1 - c * c) - 1e-9 <= gap <= 2 * np.sqrt(1 - c * c) + 1e-9
         if previous is not None:
