@@ -3,7 +3,8 @@
 
 Writes min_distance.json (closed form vs the exact-image oracle, per
 dimension) and product_distance.json (the two-qubit constant
-adjudication) into the output directory.
+adjudication) into the output directory, and how many of the oracle
+searches ran out of budget.
 """
 
 import json
@@ -13,6 +14,12 @@ from pathlib import Path
 from carlab import cli
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
+
+
+def _exhausted(rows) -> str:
+    """How many of the rows' searches used their whole evaluation budget."""
+    spent = sum(row["budget_exhausted"] for row in rows)
+    return f"{spent} of {len(rows)} searches ran out of budget"
 
 
 def main() -> int:
@@ -25,19 +32,23 @@ def main() -> int:
         )
         if code != 0:
             return code
-        summary = json.loads(path.read_text())["summary"]
-        print(f"dim {dim}: max |closed - oracle| = {summary['max_abs_error']:.3e}")
+        doc = json.loads(path.read_text())
+        print(
+            f"dim {dim}: max |closed - oracle| = {doc['summary']['max_abs_error']:.3e}; "
+            f"{_exhausted(doc['rows'])}"
+        )
     path = OUT / "product_distance.json"
     code = cli.main(
         ["product-distance", "--pairs", "50", "--seed", "7", "--output", str(path)]
     )
     if code != 0:
         return code
-    summary = json.loads(path.read_text())["summary"]
+    doc = json.loads(path.read_text())
+    summary = doc["summary"]
     print(
         "two-qubit products: max |oracle - single constant| = "
         f"{summary['max_error_single']:.3e}; closest approach to the doubled "
-        f"constant = {summary['min_deviation_doubled']:.3f}"
+        f"constant = {summary['min_deviation_doubled']:.3f}; {_exhausted(doc['rows'])}"
     )
     return 0
 

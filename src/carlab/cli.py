@@ -4,9 +4,9 @@ One experiment per invocation; every run is deterministic in its seed and
 writes a single JSON or CSV artifact that embeds the resolved
 configuration and package version, so identical invocations produce
 byte-identical files.  Exit codes: 0 success, 2 configuration error
-(including every flag error), 3 cap/size error, 4 numerical-invariant
-violation (including a non-finite value reaching the artifact), 5 I/O
-error.
+(including every flag error), 3 cap/size error (including running out of
+memory), 4 numerical-invariant violation (including a non-finite value
+reaching the artifact and a failed eigen-decomposition), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .intertwiner import (
 )
 from .linalg import haar_unitary, phase_align, random_unit_vector
 from .orbit import (
+    SearchResult,
     min_distance_bruteforce,
     min_distance_closed_form,
     product_min_distance,
@@ -153,6 +154,15 @@ def _config_dict(args) -> dict:
 # ---------------------------------------------------------------- experiments
 
 
+def _search_diagnostics(search: SearchResult) -> dict:
+    """How an oracle's search ended: the columns that show a cut-off search."""
+    return {
+        "evals_used": search.evals_used,
+        "final_step": search.final_step,
+        "budget_exhausted": search.budget_exhausted,
+    }
+
+
 def run_min_distance(args):
     """Closed form vs exact-image search oracle on random vector pairs."""
     rows = []
@@ -163,16 +173,17 @@ def run_min_distance(args):
         # states forget global phases, so compare on the aligned representative
         eta = phase_align(xi, random_unit_vector(args.dim, rng))
         report = min_distance_closed_form(xi, eta)
-        found = min_distance_bruteforce(xi, eta, budget=args.budget, seed=seed)
-        err = abs(found - report.closed_form_distance)
+        search = min_distance_bruteforce(xi, eta, budget=args.budget, seed=seed)
+        err = abs(search.distance - report.closed_form_distance)
         worst = max(worst, err)
         rows.append(
             {
                 "trial": trial,
                 "abs_overlap": report.abs_overlap,
                 "closed_form": report.closed_form_distance,
-                "oracle": found,
+                "oracle": search.distance,
                 "abs_error": err,
+                **_search_diagnostics(search),
             }
         )
     summary = {
@@ -195,9 +206,9 @@ def run_product_distance(args):
         e1, e2 = random_unit_vector(2, rng), random_unit_vector(2, rng)
         report = product_min_distance([x1, x2], [e1, e2])
         xi, eta = np.kron(x1, x2), np.kron(e1, e2)
-        found = state_min_distance_bruteforce(xi, eta, budget=args.budget, seed=seed)
-        err_single = abs(found - report.distance_single)
-        dev_doubled = abs(found - report.distance_doubled)
+        search = state_min_distance_bruteforce(xi, eta, budget=args.budget, seed=seed)
+        err_single = abs(search.distance - report.distance_single)
+        dev_doubled = abs(search.distance - report.distance_doubled)
         max_err_single = max(max_err_single, err_single)
         min_dev_doubled = min(min_dev_doubled, dev_doubled)
         rows.append(
@@ -206,9 +217,10 @@ def run_product_distance(args):
                 "overlap_product": report.overlap_product,
                 "distance_single": report.distance_single,
                 "distance_doubled": report.distance_doubled,
-                "oracle": found,
+                "oracle": search.distance,
                 "error_single": err_single,
                 "deviation_doubled": dev_doubled,
+                **_search_diagnostics(search),
             }
         )
     summary = {
@@ -542,11 +554,11 @@ def main(argv=None) -> int:
         write_artifact(path, args.command, _config_dict(args), rows, summary)
     except SystemExit:  # --help and --version print and stop
         return EXIT_OK
-    except SizeLimitError as exc:
+    except (SizeLimitError, MemoryError) as exc:
         return _error_record("size-limit", exc, EXIT_SIZE)
     except InvalidInputError as exc:
         return _error_record("config", exc, EXIT_CONFIG)
-    except NumericalInvariantError as exc:
+    except (NumericalInvariantError, np.linalg.LinAlgError) as exc:
         return _error_record("numerical-invariant", exc, EXIT_NUMERIC)
     except OSError as exc:
         return _error_record("io", exc, EXIT_IO)

@@ -6,6 +6,8 @@ mode insists u xi = eta; the state mode only requires equality of the
 induced vector states, which frees a global phase on the image.  The gap
 between the modes is precisely where the question about the product-state
 constant lives, so neither is allowed to borrow the other's answer.
+Both oracles run the same compass search, whose polls are evaluated as
+one stacked call through the batched `linalg` layer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .linalg import (
     as_unit_vector,
     expi_hermitian,
     hermitian_from_params,
-    operator_norm,
+    operator_norms,
     two_plane_unitary,
 )
 
@@ -57,51 +59,82 @@ def min_distance_closed_form(xi, eta) -> OverlapReport:
     )
 
 
-def _stabilizer_frame(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projection onto C*eta and an orthonormal basis of its complement."""
+@dataclass(frozen=True)
+class SearchResult:
+    """Least ||I - u|| a search oracle found, and how its search ended.
+
+    `evals_used` never exceeds the budget, and `budget_exhausted` holds iff
+    it reached it.  `final_step` is the poll step the last restart ended
+    with: below the step floor iff that restart converged rather than
+    being cut off by the budget.
+    """
+
+    distance: float
+    evals_used: int
+    final_step: float
+    budget_exhausted: bool
+
+
+def _stabilizer(eta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Stabilizer elements of eta from rows of (d-1)^2 real parameters.
+
+    Each row is a Hermitian generator on the orthogonal complement of eta;
+    its element is the identity on C*eta and exp(iH) on the complement.
+    """
     d = eta.shape[0]
     q = np.linalg.qr(eta.reshape(d, 1), mode="complete")[0][:, 1:]
-    return np.outer(eta, eta.conj()), q
+    proj = np.outer(eta, eta.conj())
+
+    def elements(x: np.ndarray) -> np.ndarray:
+        w = expi_hermitian(hermitian_from_params(x, d - 1))
+        return proj + q @ w @ q.conj().T
+
+    return elements
 
 
-def _coordinate_descent(
-    f: Callable[[np.ndarray], float],
+def _pattern_search(
+    f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     f0: float,
     budget: int,
-) -> tuple[float, int]:
-    """Deterministic coordinate descent with a halving step schedule."""
-    x, fx = x0.copy(), f0
+) -> tuple[float, int, float]:
+    """Compass search with a complete poll and a halving step schedule.
+
+    Each iteration evaluates all 2P moves x +/- step e_i, ordered +e_0,
+    -e_0, +e_1, ..., as one (2P, P) stack; it moves to the best poll point
+    if that improves on fx and halves the step otherwise (Kolda, Lewis &
+    Torczon, SIAM Review 45, 2003).  A poll is cut to its first moves when
+    the budget runs short.  Returns the best value, the evaluations used
+    and the final step.
+    """
+    n = x0.size
+    moves = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+    x, fx = x0, f0
     evals = 0
     step = _STEP_INIT
     while step >= _STEP_MIN and evals < budget:
-        improved = False
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                if evals >= budget:
-                    return fx, evals
-                y = x.copy()
-                y[i] += sign * step
-                fy = f(y)
-                evals += 1
-                if fy < fx:
-                    x, fx = y, fy
-                    improved = True
-        if not improved:
+        poll = x + step * moves[: budget - evals]
+        fy = f(poll)
+        evals += poll.shape[0]
+        best = int(np.argmin(fy))
+        if fy[best] < fx:
+            x, fx = poll[best], float(fy[best])
+        elif evals < budget:
             step *= 0.5
-    return fx, evals
+    return fx, evals, step
 
 
 def _search_minimum(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     n_params: int,
     budget: int,
     seed: int,
-) -> float:
-    """Identity start plus seeded random restarts, all budget-capped."""
+) -> SearchResult:
+    """Identity start plus seeded random restarts, run in turn on one budget."""
     rng = np.random.default_rng(seed)
     used = 0
     best = np.inf
+    step = _STEP_INIT
     for restart in range(_MAX_RESTARTS):
         if restart == 0:
             x0 = np.zeros(n_params)
@@ -109,13 +142,17 @@ def _search_minimum(
             x0 = rng.normal(scale=1.0, size=n_params)
         if used >= budget:
             break
-        f0 = objective(x0)
+        f0 = float(objective(x0[None])[0])
         used += 1
-        best = min(best, f0)
-        fx, evals = _coordinate_descent(objective, x0, f0, budget - used)
+        fx, evals, step = _pattern_search(objective, x0, f0, budget - used)
         used += evals
         best = min(best, fx)
-    return best
+    return SearchResult(
+        distance=best,
+        evals_used=used,
+        final_step=step,
+        budget_exhausted=used >= budget,
+    )
 
 
 def _check_oracle_inputs(xi, eta, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,34 +171,54 @@ def _check_oracle_inputs(xi, eta, budget: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, eta
 
 
-def min_distance_bruteforce(xi, eta, budget: int = 10_000, seed: int = 0) -> float:
+def _exact_image_objective(xi: np.ndarray, eta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """||I - u|| for each parameter row, u = (stabilizer element) (xi -> eta)."""
+    stabilizer = _stabilizer(eta)
+    base = two_plane_unitary(xi, eta)
+    eye = np.eye(xi.shape[0], dtype=np.complex128)
+
+    def objective(x: np.ndarray) -> np.ndarray:
+        return operator_norms(eye - stabilizer(x) @ base)
+
+    return objective
+
+
+def _state_objective(xi: np.ndarray, eta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """||I - u|| for each parameter row, u = (stabilizer element) (xi -> e^{i x_0} eta).
+
+    Column 0 is the phase on the image line, the rest the stabilizer
+    generator.  A poll moves the phase only along +/-e_0, so it holds at
+    most three distinct phases and builds one carrier for each.
+    """
+    stabilizer = _stabilizer(eta)
+    eye = np.eye(xi.shape[0], dtype=np.complex128)
+
+    def objective(x: np.ndarray) -> np.ndarray:
+        phases, which = np.unique(x[:, 0], return_inverse=True)
+        bases = np.stack([two_plane_unitary(xi, np.exp(1j * p) * eta) for p in phases])
+        return operator_norms(eye - stabilizer(x[:, 1:]) @ bases[which])
+
+    return objective
+
+
+def min_distance_bruteforce(xi, eta, budget: int = 10_000, seed: int = 0) -> SearchResult:
     """Search minimum of ||I - u|| over unitaries with u xi = eta exactly.
 
     Every such unitary factors as (rotation carrying xi to eta) followed by
     an element of the stabilizer of eta, so the search runs over the
     stabilizer: exp of a Hermitian generator on the orthogonal complement
-    of eta.  Seeded random restarts feed a deterministic coordinate
-    descent.  The result can never fall below ||xi - eta||, which the
-    closed form equals when <xi|eta> >= 0.
+    of eta.  Seeded random restarts feed a deterministic compass search.
+    The result can never fall below ||xi - eta||, which the closed form
+    equals when <xi|eta> >= 0.
     """
     xi, eta = _check_oracle_inputs(xi, eta, budget)
-    d = xi.shape[0]
-    k = d - 1
-    proj, q = _stabilizer_frame(eta)
-    base = two_plane_unitary(xi, eta)
-    eye = np.eye(d, dtype=np.complex128)
-
-    def objective(x: np.ndarray) -> float:
-        w = expi_hermitian(hermitian_from_params(x, k))
-        u = (proj + q @ w @ q.conj().T) @ base
-        return operator_norm(eye - u)
-
-    return _search_minimum(objective, k * k, budget, seed)
+    k = xi.shape[0] - 1
+    return _search_minimum(_exact_image_objective(xi, eta), k * k, budget, seed)
 
 
 def state_min_distance_bruteforce(
     xi, eta, budget: int = 10_000, seed: int = 0
-) -> float:
+) -> SearchResult:
     """Search minimum of ||I - u|| over unitaries with u xi = (phase) eta.
 
     The constraint is equality of the induced vector states, not of the
@@ -170,19 +227,8 @@ def state_min_distance_bruteforce(
     as in the exact-image oracle.
     """
     xi, eta = _check_oracle_inputs(xi, eta, budget)
-    d = xi.shape[0]
-    k = d - 1
-    proj, q = _stabilizer_frame(eta)
-    eye = np.eye(d, dtype=np.complex128)
-
-    def objective(x: np.ndarray) -> float:
-        target = np.exp(1j * x[0]) * eta
-        base = two_plane_unitary(xi, target)
-        w = expi_hermitian(hermitian_from_params(x[1:], k))
-        u = (proj + q @ w @ q.conj().T) @ base
-        return operator_norm(eye - u)
-
-    return _search_minimum(objective, 1 + k * k, budget, seed)
+    k = xi.shape[0] - 1
+    return _search_minimum(_state_objective(xi, eta), 1 + k * k, budget, seed)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ accepts the first enumerated unitary whose test-set gap stays below 1.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +56,7 @@ class UnitaryNet:
         return self.elements.shape[0]
 
 
-def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, float]:
+def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int]:
     """Grid points per real parameter and the implied net cardinality.
 
     Every unitary is exp(iH) with Hermitian H of operator norm at most pi,
@@ -68,7 +70,8 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, float]:
         raise DomainError("net resolution must lie in (0, 1]")
     delta = 2.0 * epsilon / np.sqrt(dim * (2 * dim - 1))
     points = int(np.ceil(2.0 * np.pi / delta)) + 1
-    return points, float(points) ** (dim * dim)
+    # an exact integer: as a float the count overflows at dim 16
+    return points, points ** (dim * dim)
 
 
 def _check_all_unitary(elements: np.ndarray) -> None:
@@ -81,14 +84,19 @@ def _check_all_unitary(elements: np.ndarray) -> None:
         raise NumericalInvariantError(f"net element off unitarity by {worst:.3e}")
 
 
-def _check_net_size(dim: int, elements: float, what: str) -> None:
-    """Refuse a net whose element array would exceed the byte cap."""
+def _check_net_size(dim: int, elements: int, what: str) -> None:
+    """Refuse a net whose element array would exceed the byte cap.
+
+    The error carries the count as `estimated_size` only when it is a
+    finite float; beyond that its message gives the log10 of the count.
+    """
     cap = _NET_BYTES_CAP // (16 * dim * dim)
     if elements > cap:
+        estimated = float(elements) if elements <= sys.float_info.max else None
+        size = f"{estimated:.3e}" if estimated is not None else f"10^{math.log10(elements):.1f}"
         raise SizeLimitError(
-            f"{what} needs about {elements:.3e} elements "
-            f"(cap {cap}, {_NET_BYTES_CAP} bytes)",
-            estimated_size=elements,
+            f"{what} needs about {size} elements (cap {cap}, {_NET_BYTES_CAP} bytes)",
+            estimated_size=estimated,
         )
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from carlab import cli
@@ -18,6 +19,13 @@ def _load(path):
     return doc
 
 
+def _check_search_columns(rows, budget):
+    for row in rows:
+        assert 1 <= row["evals_used"] <= budget
+        assert row["budget_exhausted"] is (row["evals_used"] == budget)
+        assert row["final_step"] > 0
+
+
 def test_min_distance_json(tmp_path):
     code, out = _run(
         tmp_path,
@@ -31,6 +39,7 @@ def test_min_distance_json(tmp_path):
     assert len(doc["rows"]) == 5
     assert doc["summary"]["max_abs_error"] <= 1e-4
     assert doc["summary"]["within_tolerance"] is True
+    _check_search_columns(doc["rows"], 1500)
 
 
 def test_product_distance_json(tmp_path):
@@ -44,6 +53,7 @@ def test_product_distance_json(tmp_path):
     assert doc["summary"]["single_within_tolerance"] is True
     for row in doc["rows"]:
         assert row["distance_doubled"] == pytest.approx(2 * row["distance_single"])
+    _check_search_columns(doc["rows"], 4000)
 
 
 def test_reduce_equivalent_trend(tmp_path):
@@ -180,6 +190,44 @@ def test_random_net_over_size_cap_refused(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "size-limit"
     assert record["estimated_size"] == 100000001
+    assert not out.exists()
+
+
+def _only_error_record(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0], parse_constant=_reject_constant)
+
+
+def test_exhaustive_net_count_beyond_float_refused(tmp_path, capsys):
+    # 176^256 grid points: the count does not fit a float
+    out = tmp_path / "x.json"
+    code = cli.main(["fsigma-search", "--dim", "16", "--net", "exhaustive",
+                     "--pairs", "1", "--output", str(out)])
+    assert code == 3
+    record = _only_error_record(capsys)
+    assert record["error"] == "size-limit"
+    assert "estimated_size" not in record
+    assert "10^574.9 elements" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc, kind, code",
+    [
+        (MemoryError("Unable to allocate 1.00 TiB"), "size-limit", 3),
+        (np.linalg.LinAlgError("Eigenvalues did not converge"), "numerical-invariant", 4),
+    ],
+)
+def test_runtime_failures_become_error_records(tmp_path, monkeypatch, capsys, exc, kind, code):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_product_test", failing)
+    out = tmp_path / "x.json"
+    assert cli.main(["product-test", "--family", "geometric", "--output", str(out)]) == code
+    record = _only_error_record(capsys)
+    assert record == {"error": kind, "message": str(exc), "exit_code": code}
     assert not out.exists()
 
 

@@ -62,13 +62,13 @@ def test_closed_form_monotone_in_overlap():
 
 def test_bruteforce_finds_identity_for_equal_vectors():
     xi = np.array([1.0, 0.0, 0.0])
-    assert orbit.min_distance_bruteforce(xi, xi, budget=1000, seed=0) <= 1e-10
+    assert orbit.min_distance_bruteforce(xi, xi, budget=1000, seed=0).distance <= 1e-10
 
 
 def test_bruteforce_matches_closed_form_dim2():
     xi = np.array([1.0, 0.0])
     eta = np.array([0.8, 0.6])
-    found = orbit.min_distance_bruteforce(xi, eta, budget=2000, seed=3)
+    found = orbit.min_distance_bruteforce(xi, eta, budget=2000, seed=3).distance
     assert abs(found - 0.6324555320336759) <= 1e-4
 
 
@@ -78,7 +78,7 @@ def test_bruteforce_matches_closed_form_random(dim):
     for trial in range(12):
         xi, eta = _aligned_pair(dim, rng)
         closed = orbit.min_distance_closed_form(xi, eta).closed_form_distance
-        found = orbit.min_distance_bruteforce(xi, eta, budget=10_000, seed=trial)
+        found = orbit.min_distance_bruteforce(xi, eta, budget=10_000, seed=trial).distance
         assert found >= closed - 1e-6
         assert abs(found - closed) <= 1e-4
 
@@ -91,7 +91,7 @@ def test_bruteforce_never_below_exact_carrier_floor():
         eta = linalg.random_unit_vector(3, rng)
         floor = np.linalg.norm(xi - eta)
         closed = orbit.min_distance_closed_form(xi, eta).closed_form_distance
-        found = orbit.min_distance_bruteforce(xi, eta, budget=4000, seed=trial)
+        found = orbit.min_distance_bruteforce(xi, eta, budget=4000, seed=trial).distance
         assert found >= closed - 1e-6
         assert abs(found - floor) <= 1e-4
 
@@ -153,7 +153,7 @@ def test_state_oracle_adjudicates_the_constant():
         x1, x2, e1, e2 = factors
         report = orbit.product_min_distance([x1, x2], [e1, e2])
         xi, eta = np.kron(x1, x2), np.kron(e1, e2)
-        found = orbit.state_min_distance_bruteforce(xi, eta, budget=8000, seed=trial)
+        found = orbit.state_min_distance_bruteforce(xi, eta, budget=8000, seed=trial).distance
         assert found >= report.distance_single - 1e-6
         assert abs(found - report.distance_single) <= 1e-3
         if report.overlap_product < 0.9:
@@ -165,5 +165,78 @@ def test_state_oracle_absorbs_phases():
     rng = np.random.default_rng(54)
     xi = linalg.random_unit_vector(2, rng)
     eta = np.exp(1.3j) * xi
-    found = orbit.state_min_distance_bruteforce(xi, eta, budget=2000, seed=0)
+    found = orbit.state_min_distance_bruteforce(xi, eta, budget=2000, seed=0).distance
     assert found <= 1e-6
+
+
+def _scalar_objective(xi, eta, x, state):
+    """One point of either oracle's objective, composed matrix by matrix."""
+    d = xi.shape[0]
+    q = np.linalg.qr(eta.reshape(d, 1), mode="complete")[0][:, 1:]
+    proj = np.outer(eta, eta.conj())
+    target, params = (np.exp(1j * x[0]) * eta, x[1:]) if state else (eta, x)
+    base = linalg.two_plane_unitary(xi, target)
+    w = linalg.expi_hermitian(linalg.hermitian_from_params(params, d - 1))
+    u = (proj + q @ w @ q.conj().T) @ base
+    return linalg.operator_norm(np.eye(d) - u)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("state", [False, True])
+def test_batched_objective_equals_scalar_composition(dim, state):
+    rng = np.random.default_rng(60 + dim)
+    xi = linalg.random_unit_vector(dim, rng)
+    eta = linalg.random_unit_vector(dim, rng)
+    build = orbit._state_objective if state else orbit._exact_image_objective
+    n = (dim - 1) ** 2 + state
+    x = rng.normal(size=n)
+    moves = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+    # a poll around x, then free rows; in state mode phases repeat and differ
+    stack = np.concatenate([x + 0.25 * moves, rng.normal(size=(7, n))])
+    if state:
+        stack[-7:-3, 0] = stack[0, 0]
+    got = build(xi, eta)(stack)
+    assert got.shape == (stack.shape[0],)
+    want = [_scalar_objective(xi, eta, row, state) for row in stack]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    dim=st.sampled_from([2, 3, 4]),
+    state=st.booleans(),
+    budget=st.integers(1000, 2500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_budget_accounting(dim, state, budget, seed):
+    rng = np.random.default_rng(seed)
+    xi, eta = _aligned_pair(dim, rng)
+    oracle = orbit.state_min_distance_bruteforce if state else orbit.min_distance_bruteforce
+    result = oracle(xi, eta, budget=budget, seed=seed)
+    assert 1 <= result.evals_used <= budget
+    assert result.budget_exhausted == (result.evals_used == budget)
+    # a cut-off search ends at a step it still polled; a finished one below the floor
+    assert result.budget_exhausted == (result.final_step >= orbit._STEP_MIN)
+
+
+def test_pattern_search_minimizes_separable_quadratic():
+    center = np.array([0.3, -1.7, 2.05, 0.0123])
+    weight = np.array([1.0, 3.0, 0.5, 2.0])
+
+    def f(x):
+        return np.sum(weight * (x - center) ** 2, axis=-1)
+
+    x0 = np.zeros(4)
+    fx, evals, step = orbit._pattern_search(f, x0, float(f(x0)), budget=100_000)
+    assert step < orbit._STEP_MIN and evals < 100_000
+    # a failed poll at step s leaves each coordinate within s/2 of the center
+    assert fx <= np.sum(weight) * orbit._STEP_MIN**2
+
+
+@pytest.mark.parametrize("state", [False, True])
+def test_oracle_reruns_are_bit_identical(state):
+    rng = np.random.default_rng(61)
+    xi, eta = _aligned_pair(4, rng)
+    oracle = orbit.state_min_distance_bruteforce if state else orbit.min_distance_bruteforce
+    # equal floats, counts and flags field by field
+    assert oracle(xi, eta, budget=1500, seed=9) == oracle(xi, eta, budget=1500, seed=9)

@@ -32,6 +32,10 @@ def test_exhaustive_net_size_limit():
         witness.enumerate_net(4, 0.4)
     assert info.value.estimated_size is not None
     assert info.value.estimated_size > 1e6
+    # beyond the float range the count is compared exactly and left out
+    with pytest.raises(SizeLimitError) as info:
+        witness.enumerate_net(16, 0.4)
+    assert info.value.estimated_size is None
 
 
 def test_net_size_cap_is_shared_and_checked_before_allocating():
