@@ -310,10 +310,13 @@ def run_fsigma_search(args):
         net = enumerate_net(args.dim, args.epsilon)
     else:
         net = random_net(args.dim, args.epsilon, size=args.net_size, seed=args.seed)
-    seeds = derive_seeds(args.seed, args.pairs + 1)
-    tests = build_test_element_net(args.dim, n_random=args.test_elements, seed=seeds[-1])
+    # pairs, then the test elements, then the density probes: the probes
+    # need a stream of their own, as the net's seed would redraw the net
+    seeds = derive_seeds(args.seed, args.pairs + 2)
+    tests = build_test_element_net(args.dim, n_random=args.test_elements, seed=seeds[args.pairs])
     rows = []
     found_count = 0
+    far_count = 0
     for pair, seed in enumerate(seeds[: args.pairs]):
         rng = np.random.default_rng(seed)
         psi = VectorState(random_unit_vector(args.dim, rng))
@@ -334,6 +337,7 @@ def run_fsigma_search(args):
             continue
         found_count += 1
         bound = distance_bound_check(phi, psi, result.unitary)
+        far_count += bound.norm_distance >= 1.0
         rows.append(
             {
                 "pair": pair,
@@ -348,12 +352,13 @@ def run_fsigma_search(args):
         "pairs": args.pairs,
         "found": found_count,
         "all_found": found_count == args.pairs,
+        "found_distance_ge_1": far_count,
         "net_mode": net.mode,
         "net_size": len(net),
         "net_resolution": net.resolution,
     }
     if args.density_check:
-        report = net_density_report(net, probes=args.density_probes, seed=args.seed)
+        report = net_density_report(net, probes=args.density_probes, seed=seeds[-1])
         summary["density_probes"] = report.probes
         summary["density_max_distance"] = report.max_distance
         summary["density_mean_distance"] = report.mean_distance

@@ -132,7 +132,33 @@ def hermitian_from_params(x, k: int) -> np.ndarray:
 
 
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(iH) for a Hermitian matrix or a stack of them, via eigh."""
+    """exp(iH) for a Hermitian matrix or a stack of them.
+
+    1x1 matrices take exp(ih) and 2x2 ones the closed form
+    e^{it} (cos r I + i sinc(r) (H - tI)) with t = tr H / 2 and r the half
+    eigenvalue gap hypot((h00 - h11)/2, |h01|), as H - tI squares to r^2 I;
+    larger ones go through eigh.
+    """
+    h = np.asarray(h)
+    d = h.shape[-1]
+    if d == 1:
+        return np.exp(1j * h.real)
+    if d == 2:
+        a, b, c = h[..., 0, 0].real, h[..., 0, 1], h[..., 1, 1].real
+        t = 0.5 * (a + c)
+        half = 0.5 * (a - c)
+        r = np.hypot(half, np.abs(b))
+        phase = np.exp(1j * t)
+        cos = phase * np.cos(r)
+        # sin r / r from the same r as cos r keeps the result unitary to
+        # rounding at any |H|; np.sinc(r / pi) would round r first
+        isinc = 1j * phase * np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+        out = np.empty(h.shape, dtype=np.complex128)
+        out[..., 0, 0] = cos + isinc * half
+        out[..., 1, 1] = cos - isinc * half
+        out[..., 0, 1] = isinc * b
+        out[..., 1, 0] = isinc * b.conj()
+        return out
     w, v = np.linalg.eigh(h)
     return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
 

@@ -3,8 +3,17 @@
 A countable dense set of unitaries is stood in for by either an
 exhaustive grid of Hermitian-generator exponentials (guaranteed dense at
 the requested resolution, feasible only in low dimension) or a seeded
-random net (density reported statistically, never promised).  The search
-accepts the first enumerated unitary whose test-set gap stays below 1.
+random net (density reported statistically, never promised).  The
+density report is an exact statistic: the operator-norm distance from
+each of a set of Haar-random probes, drawn independently of the net, to
+its nearest net element.
+
+The search accepts the first enumerated unitary u whose test-set gap
+max_a |phi(a) - psi(u a u*)| stays below 1.  The maximum runs over a
+finite test net, so the gap only bounds ||phi - psi o Ad u|| from below:
+a witness may sit at exact distance 1 or more.  The verdict rests on
+`distance_bound_check`, the exact distance being below 2, which by
+Glimm and Kadison makes the two pure states unitarily equivalent.
 """
 
 from __future__ import annotations
@@ -31,11 +40,14 @@ from .linalg import (
     operator_norms,
     random_hermitian_contraction,
 )
-from .states import VectorState, evaluate, pullback, state_distance
+from .states import VectorState, pullback, state_distance
 
 # 128 MB of complex128 elements: 2,000,000 unitaries at dim 2
 _NET_BYTES_CAP = 128_000_000
 _CHUNK = 8192
+# one working array of a chunked kernel: a drawn block of unitaries, or a
+# float (elements x probes) block of the nearest-element scan
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,14 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int]:
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError("net resolution must lie in (0, 1]")
-    delta = 2.0 * epsilon / np.sqrt(dim * (2 * dim - 1))
-    points = int(np.ceil(2.0 * np.pi / delta)) + 1
+    delta = 2.0 * epsilon / math.sqrt(dim * (2 * dim - 1))
+    if delta * sys.float_info.max < 2.0 * math.pi:
+        # a subnormal epsilon: 2 pi / delta, one axis of the grid, overflows
+        raise SizeLimitError(
+            f"exhaustive net at dim {dim}, resolution {epsilon} needs more than "
+            f"{sys.float_info.max:.3e} grid points per parameter"
+        )
+    points = math.ceil(2.0 * math.pi / delta) + 1
     # an exact integer: as a float the count overflows at dim 16
     return points, points ** (dim * dim)
 
@@ -100,9 +118,28 @@ def _check_net_size(dim: int, elements: int, what: str) -> None:
         )
 
 
+def _rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes that fit one working block, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _haar_blocks(dim: int, rng: np.random.Generator, count: int):
+    """`count` Haar unitaries as (offset, block) pairs within the block budget.
+
+    `haar_unitary` reads its stream in order, so the blocks are those of a
+    single draw, without its transient memory of about 5x the stack.
+    """
+    step = _rows(16 * dim * dim)
+    for lo in range(0, count, step):
+        yield lo, haar_unitary(dim, rng, count=min(step, count - lo))
+
+
 def _dedup(elements: np.ndarray) -> np.ndarray:
-    """First occurrence of each element, keyed by its entries rounded to 1e-9."""
-    rounded = np.ascontiguousarray(np.round(elements, 9)).reshape(elements.shape[0], -1)
+    """First occurrence of each element, keyed by its entries rounded to 1e-9.
+
+    Adding 0.0 turns -0.0 into +0.0, so a sign of zero splits no key.
+    """
+    rounded = (np.round(elements, 9) + 0.0).reshape(elements.shape[0], -1)
     keys = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))
     first = np.unique(keys.ravel(), return_index=True)[1]
     return elements[np.sort(first)]
@@ -152,9 +189,11 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
         raise DomainError("net resolution must lie in (0, 1]")
     _check_net_size(dim, size + 1, f"random net at dim {dim}")
     rng = np.random.default_rng(seed)
-    identity = np.eye(dim, dtype=np.complex128)[None, :, :]
-    elements = np.concatenate([identity, haar_unitary(dim, rng, count=size)])
-    _check_all_unitary(elements)
+    elements = np.empty((size + 1, dim, dim), dtype=np.complex128)
+    elements[0] = np.eye(dim)
+    for lo, block in _haar_blocks(dim, rng, size):
+        _check_all_unitary(block)
+        elements[1 + lo : 1 + lo + len(block)] = block
     return UnitaryNet(
         dim=dim,
         resolution=float(epsilon),
@@ -163,18 +202,86 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     )
 
 
+def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of a (k, d, d) stack as real rows, and their squared norms.
+
+    Row [j, m] of the (d, k, 2d) result is column j of matrix m, real parts
+    then imaginary parts, so Re <a e_j, b e_j> is a dot product of rows;
+    the squared norms come as a (d, k) array.
+    """
+    cols = np.concatenate([a.real, a.imag], axis=1).transpose(2, 0, 1)
+    cols = np.ascontiguousarray(cols)
+    return cols, np.einsum("jkx,jkx->jk", cols, cols)
+
+
+def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and operator-norm distance of the closest element to each probe.
+
+    Bit-identical to computing `operator_norms(elements - u)` for each
+    probe u and keeping the first index of the least value, but exact norms
+    are computed only for (element, probe) pairs that can still win.  The
+    largest column norm of N - u bounds ||N - u|| from below; its square
+    is max_j ||N e_j||^2 + ||u e_j||^2 - 2 Re <N e_j, u e_j>, d GEMMs over
+    all pairs of a chunk.  A pair is normed exactly when that bound, less a
+    rounding slack scaled by the column norms, is within the best distance
+    so far, first seeded with the lowest-bound element of the chunk; every
+    other pair is strictly farther than that best.
+    """
+    n, d = elements.shape[0], elements.shape[-1]
+    count = probes.shape[0]
+    best = np.full(count, np.inf)
+    index = np.zeros(count, dtype=np.intp)
+    # Rounding moves the squared bound by about 2d eps and the squared exact
+    # norm by about 2d^2 eps, each times ||N e_j||^2 + ||u e_j||^2 at most;
+    # 64 d^2 eps times the largest such column norms covers both.
+    slack = 64.0 * d * d * np.finfo(np.float64).eps
+    chunk = min(n, _CHUNK)
+    step = _rows(8 * chunk)
+    pairs = _rows(16 * d * d)
+    for plo in range(0, count, step):
+        u = probes[plo : plo + step]
+        u_cols, u_sq = _columns(u)
+        u_scale = u_sq.max(axis=0)
+        near, near_idx = best[plo : plo + step], index[plo : plo + step]
+        every = np.arange(len(u))
+        for lo in range(0, n, chunk):
+            block = elements[lo : lo + chunk]
+            cols, sq = _columns(block)
+            # (probe, element) blocks, so each probe's scan runs along a row
+            bound = np.zeros((len(u), len(block)))
+            for j in range(d):
+                col = u_cols[j] @ cols[j].T
+                col *= -2.0
+                col += sq[j]
+                col += u_sq[j][:, None]
+                np.maximum(bound, col, out=bound)
+            seed = np.argmin(bound, axis=1)
+            reach = np.minimum(near, operator_norms(block[seed] - u))
+            bound -= slack * sq.max(axis=0)
+            bound -= (slack * u_scale)[:, None]
+            q, e = np.nonzero(bound <= (reach * reach)[:, None])
+            exact = np.full(bound.shape, np.inf)
+            # in slices: where the bound prunes little, N - u for every
+            # candidate pair would outgrow the block budget
+            for s in range(0, len(q), pairs):
+                qs, es = q[s : s + pairs], e[s : s + pairs]
+                exact[qs, es] = operator_norms(block[es] - u[qs])
+            i = np.argmin(exact, axis=1)
+            dist = exact[every, i]
+            # later chunks win only strictly: ties keep the first index
+            win = dist < near
+            near[win] = dist[win]
+            near_idx[win] = lo + i[win]
+    return index, best
+
+
 def nearest_net_element(net: UnitaryNet, u) -> tuple[int, float]:
     """Index and operator-norm distance of the closest net element."""
     u = as_square_matrix(u)
     if u.shape[0] != net.dim:
         raise InvalidInputError("dimension mismatch with net")
-    best_idx, best = 0, np.inf
-    for lo in range(0, len(net), _CHUNK):
-        dists = operator_norms(net.elements[lo : lo + _CHUNK] - u)
-        i = int(np.argmin(dists))
-        if dists[i] < best:
-            best_idx, best = lo + i, float(dists[i])
-    return best_idx, best
+    index, dist = _nearest(net.elements, u[None])
+    return int(index[0]), float(dist[0])
 
 
 @dataclass(frozen=True)
@@ -188,11 +295,15 @@ class DensityReport:
 
 
 def net_density_report(net: UnitaryNet, probes: int = 100, seed: int = 0) -> DensityReport:
-    """Nearest-element statistics over seeded Haar-random probe unitaries."""
+    """Exact nearest-element statistics over seeded Haar-random probes.
+
+    The probes must come from a stream independent of the net's own: a
+    probe drawn by the net's seed is a net element, at distance 0.
+    """
     rng = np.random.default_rng(seed)
     dists = np.empty(probes)
-    for k in range(probes):
-        _, dists[k] = nearest_net_element(net, haar_unitary(net.dim, rng))
+    for lo, block in _haar_blocks(net.dim, rng, probes):
+        dists[lo : lo + len(block)] = _nearest(net.elements, block)[1]
     return DensityReport(
         probes=probes,
         max_distance=float(dists.max()),
@@ -253,13 +364,18 @@ def witness_search(
     if phi.dim != psi.dim or phi.dim != net.dim or net.dim != test_net.dim:
         raise InvalidInputError("state, net, and test-net dimensions must agree")
     threshold = 1.0 - WITNESS_STRICTNESS
-    stack = np.stack(test_net.elements)
-    phi_vals = np.array([evaluate(phi, a) for a in test_net.elements])
+    # a state's value on each test element a is <v v*, a>: one GEMM
+    # against the flattened test elements for a whole chunk of vectors
+    flat = np.stack(test_net.elements).reshape(len(test_net.elements), -1).T
+    phi_vals = np.outer(phi.vector.conj(), phi.vector).reshape(-1) @ flat
+    conj_psi = psi.vector.conj()
     for lo in range(0, len(net), _CHUNK):
         block = net.elements[lo : lo + _CHUNK]
-        pulled = np.einsum("nji,j->ni", block.conj(), psi.vector)
-        vals = np.einsum("ni,aij,nj->na", pulled.conj(), stack, pulled)
-        gaps = np.max(np.abs(vals - phi_vals[None, :]), axis=1)
+        # the pulled-back vectors u* psi, conjugated: psi^H u, row by row
+        conj_pulled = conj_psi @ block
+        outer = conj_pulled[:, :, None] * conj_pulled.conj()[:, None, :]
+        outer = outer.reshape(len(block), -1)
+        gaps = np.max(np.abs(outer @ flat - phi_vals), axis=1)
         hits = np.nonzero(gaps < threshold)[0]
         if hits.size:
             i = lo + int(hits[0])

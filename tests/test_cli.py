@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from carlab import cli
+from carlab import cli, linalg, witness
+from carlab.seeding import derive_seeds
 
 
 def _run(tmp_path, argv, name):
@@ -145,6 +146,39 @@ def test_fsigma_search_random_net(tmp_path):
     assert doc["summary"]["all_found"] is True
 
 
+def test_fsigma_search_random_net_density_uses_independent_probes(tmp_path):
+    # probes drawn with the net's own seed are net elements, at distance 0
+    argv = ["fsigma-search", "--dim", "2", "--pairs", "3", "--epsilon", "0.4",
+            "--net", "random", "--net-size", "300", "--seed", "1",
+            "--density-check", "--density-probes", "40"]
+    code, out = _run(tmp_path, argv, "fsr.json")
+    assert code == 0
+    summary = _load(out)["summary"]
+    assert summary["density_max_distance"] > 0.0
+    assert summary["density_mean_distance"] > 0.0
+    net = witness.random_net(2, 0.4, size=300, seed=1)
+    probe_seed = derive_seeds(1, 3 + 2)[-1]
+    probes = linalg.haar_unitary(2, np.random.default_rng(probe_seed), count=40)
+    dists = witness._nearest(net.elements, probes)[1]
+    assert dists.min() > 0.0
+    assert dists.max() == summary["density_max_distance"]
+
+
+def test_fsigma_search_counts_witnesses_at_distance_one(tmp_path):
+    # the test-net gap only bounds ||phi - psi o Ad u|| from below
+    code, out = _run(
+        tmp_path,
+        ["fsigma-search", "--dim", "2", "--pairs", "50", "--epsilon", "0.4",
+         "--seed", "3"],
+        "far.json",
+    )
+    assert code == 0
+    doc = _load(out)
+    far = sum(row["norm_distance"] >= 1.0 for row in doc["rows"])
+    assert doc["summary"]["found_distance_ge_1"] == far == 27
+    assert all(row["gap"] < 1.0 and row["below_two"] for row in doc["rows"])
+
+
 def test_product_test_families(tmp_path):
     code, out = _run(
         tmp_path,
@@ -209,6 +243,19 @@ def test_exhaustive_net_count_beyond_float_refused(tmp_path, capsys):
     assert record["error"] == "size-limit"
     assert "estimated_size" not in record
     assert "10^574.9 elements" in record["message"]
+    assert not out.exists()
+
+
+def test_subnormal_resolution_refused(tmp_path, capsys):
+    # the grid spacing is subnormal and 2 pi / spacing overflows to inf
+    out = tmp_path / "x.json"
+    code = cli.main(["fsigma-search", "--dim", "2", "--net", "exhaustive",
+                     "--epsilon", "1e-320", "--pairs", "1", "--output", str(out)])
+    assert code == 3
+    record = _only_error_record(capsys)
+    assert record["error"] == "size-limit"
+    assert record["exit_code"] == 3
+    assert "estimated_size" not in record
     assert not out.exists()
 
 

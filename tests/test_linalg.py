@@ -142,6 +142,64 @@ def test_expi_hermitian_batched_equals_per_matrix(k):
     assert np.max(np.abs(linalg.expi_hermitian(np.zeros((k, k))) - np.eye(k))) == 0.0
 
 
+def _expi_eigh(h):
+    """exp(iH) through eigh: the kernel the 1x1 and 2x2 closed forms replace."""
+    w, v = np.linalg.eigh(h)
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
+
+
+def _unitarity_error(u):
+    gram = np.einsum("...ji,...jk->...ik", u.conj(), u)
+    return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
+
+
+def test_expi_hermitian_1x1_equals_eigh_bit_for_bit():
+    params = np.random.default_rng(3).uniform(-4.0, 4.0, size=(1000, 1))
+    h = linalg.hermitian_from_params(params, 1)
+    assert np.array_equal(linalg.expi_hermitian(h), _expi_eigh(h))
+
+
+_NEAR_PI = np.nextafter(np.pi, 0.0)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        0.7 * np.eye(2),  # r = 0: a scalar H
+        np.zeros((2, 2)),
+        [[0.3, 5e-320], [5e-320, 0.3]],  # subnormal r from the off-diagonal
+        [[3e-310, 0.0], [0.0, -3e-310]],  # subnormal r from the diagonal
+        [[np.pi, 0.0], [0.0, -np.pi]],  # r = pi
+        [[0.5, np.pi], [np.pi, 0.5]],
+        [[0.6 * np.pi, 0.8j * np.pi], [-0.8j * np.pi, -0.6 * np.pi]],
+        [[0.0, _NEAR_PI], [_NEAR_PI, 0.0]],  # r just below pi
+        [[0.1, 2 * np.pi * (1 - 1e-15)], [2 * np.pi * (1 - 1e-15), 0.1]],  # r near 2 pi
+        [[-1.0, 3 * np.pi + 1e-12], [3 * np.pi + 1e-12, -1.0]],  # r near 3 pi
+        [[8.0, 3 + 4j], [3 - 4j, -6.0]],  # large |h|
+        [[-9.5, 2 - 7j], [2 + 7j, 9.9]],
+    ],
+)
+def test_expi_hermitian_2x2_closed_form_edges(h):
+    h = np.asarray(h, dtype=np.complex128)
+    u = linalg.expi_hermitian(h)
+    assert np.max(np.abs(u - _expi_eigh(h))) <= 1e-14
+    assert _unitarity_error(u) <= 1e-14
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    params=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, np.pi, 1e2, 1e4, 1e6]),
+)
+def test_expi_hermitian_2x2_unitary_at_any_scale(params, scale):
+    h = linalg.hermitian_from_params(scale * np.array(params), 2)
+    u = linalg.expi_hermitian(h)
+    assert _unitarity_error(u) <= 1e-14
+    # exp(iH) itself moves by |H| eps when H is rounded, and eigh carries
+    # that error too; within it the two kernels agree
+    assert np.max(np.abs(u - _expi_eigh(h))) <= 1e-14 * max(1.0, linalg.operator_norm(h))
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_operator_norms_batched_equals_per_matrix(d):
     rng = np.random.default_rng(20 + d)

@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlab import linalg, witness
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
@@ -51,7 +56,7 @@ def test_net_size_cap_is_shared_and_checked_before_allocating():
 def _dedup_reference(elements):
     """The first-occurrence set loop that _dedup must reproduce."""
     seen, keep = set(), []
-    rounded = np.round(elements, 9)
+    rounded = np.round(elements, 9) + 0.0
     for i in range(elements.shape[0]):
         key = rounded[i].tobytes()
         if key not in seen:
@@ -71,6 +76,117 @@ def test_dedup_keeps_first_occurrences(dim):
     assert len(np.unique(picks)) <= len(out) < 300
 
 
+def test_dedup_merges_signed_zeros():
+    # -1e-12 rounds to -0.0: the same element as one with +0.0 there
+    a = np.array([[1.0, 1e-12], [0.0, 1.0]], dtype=np.complex128)
+    b = np.array([[1.0, -1e-12], [0.0, 1.0]], dtype=np.complex128)
+    c = np.array([[1.0, -0.0], [0.0, 1.0]], dtype=np.complex128)
+    out = witness._dedup(np.stack([a, b, c]))
+    assert len(out) == 1
+    assert np.array_equal(out[0], a)
+
+
+def _expi_eigh(h):
+    w, v = np.linalg.eigh(h)
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
+
+
+def test_exhaustive_net_count_does_not_depend_on_exp_kernel():
+    closed = witness.enumerate_net(2, 0.4)
+    with mock.patch.object(witness, "expi_hermitian", _expi_eigh):
+        eigh = witness.enumerate_net(2, 0.4)
+    assert len(closed) == len(eigh) == 193_008
+    assert np.max(np.abs(closed.elements - eigh.elements)) <= 1e-14
+
+
+def _nearest_reference(elements, u):
+    """The per-probe full scan that _nearest must reproduce bit for bit."""
+    dists = linalg.operator_norms(elements - u)
+    i = int(np.argmin(dists))
+    return i, dists[i]
+
+
+def _assert_nearest_matches_reference(elements, probes):
+    index, dist = witness._nearest(elements, probes)
+    assert index.shape == dist.shape == (len(probes),)
+    for k, u in enumerate(probes):
+        i, d = _nearest_reference(elements, u)
+        assert (index[k], dist[k]) == (i, d)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    dim=st.integers(1, 4),
+    size=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    probes=st.sampled_from(["independent", "members", "scaled"]),
+    ties=st.booleans(),
+    chunk=st.sampled_from([5, 32, witness._CHUNK]),
+    block_bytes=st.sampled_from([64, witness._BLOCK_BYTES]),
+)
+def test_nearest_equals_full_scan(dim, size, seed, probes, ties, chunk, block_bytes):
+    rng = np.random.default_rng(seed)
+    elements = linalg.haar_unitary(dim, rng, count=size)
+    if ties:
+        # repeated elements: equal distances, of which the first index wins
+        elements = elements[rng.integers(0, size, size=2 * size)]
+    if probes == "independent":
+        u = linalg.haar_unitary(dim, rng, count=9)
+    elif probes == "members":
+        u = elements[rng.integers(0, len(elements), size=9)]
+    else:
+        # non-unitary probes, far inside and far outside the unit ball
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(9, 1, 1))
+        u = scales * linalg.haar_unitary(dim, rng, count=9)
+    with mock.patch.object(witness, "_CHUNK", chunk), \
+            mock.patch.object(witness, "_BLOCK_BYTES", block_bytes):
+        _assert_nearest_matches_reference(elements, u)
+
+
+def test_nearest_on_exhaustive_net_equals_full_scan():
+    net = witness.enumerate_net(2, 0.7)
+    rng = np.random.default_rng(31)
+    probes = np.concatenate([
+        linalg.haar_unitary(2, rng, count=20),
+        net.elements[[0, 1, len(net) - 1]],
+        net.elements[-1:] + 1e-12,
+    ])
+    _assert_nearest_matches_reference(net.elements, probes)
+    for u in probes[:3]:
+        assert witness.nearest_net_element(net, u) == tuple(_nearest_reference(net.elements, u))
+
+
+def _density_reference(net, probes, seed):
+    """The per-probe full scan the batched density report replaces."""
+    rng = np.random.default_rng(seed)
+    return np.array([_nearest_reference(net.elements, linalg.haar_unitary(net.dim, rng))[1]
+                     for _ in range(probes)])
+
+
+@pytest.mark.parametrize("dim, size", [(2, 400), (4, 300)])
+def test_density_report_equals_per_probe_scan(dim, size):
+    net = witness.random_net(dim, 0.4, size=size, seed=3)
+    dists = _density_reference(net, 50, seed=4)
+    with mock.patch.object(witness, "_BLOCK_BYTES", 4096):
+        report = witness.net_density_report(net, probes=50, seed=4)
+    assert report.max_distance == dists.max()
+    assert report.mean_distance == dists.mean()
+    assert report.max_distance > 0.0
+
+
+def test_density_report_working_memory_is_bounded():
+    # a sparse net prunes few pairs; their exact norms are taken in slices,
+    # so the transient memory stays a few block budgets at any probe count
+    net = witness.random_net(4, 0.4, size=20, seed=2)
+    tracemalloc.start()
+    try:
+        witness.net_density_report(net, probes=30_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * witness._BLOCK_BYTES + 30_000 * 8
+
+
 def test_exhaustive_net_statistical_density():
     net = witness.enumerate_net(2, 0.7)
     report = witness.net_density_report(net, probes=100, seed=5)
@@ -86,6 +202,32 @@ def test_random_net_shape_and_determinism():
     assert a.mode == "random"
     report = witness.net_density_report(a, probes=10, seed=1)
     assert report.max_distance <= 2.0
+
+
+def _random_net_reference(dim, size, seed):
+    """One draw of the whole stack behind the identity."""
+    stack = linalg.haar_unitary(dim, np.random.default_rng(seed), count=size)
+    return np.concatenate([np.eye(dim, dtype=np.complex128)[None], stack])
+
+
+@pytest.mark.parametrize("dim, size", [(2, 5000), (4, 3000)])
+@pytest.mark.parametrize("block_bytes", [1 << 12, witness._BLOCK_BYTES])
+def test_random_net_drawn_in_blocks_is_byte_identical(dim, size, block_bytes):
+    with mock.patch.object(witness, "_BLOCK_BYTES", block_bytes):
+        net = witness.random_net(dim, 0.4, size=size, seed=7)
+    assert net.elements.tobytes() == _random_net_reference(dim, size, 7).tobytes()
+
+
+def test_random_net_transient_memory_is_bounded():
+    # a single draw peaks at about 5x the element array (167 MB here); in
+    # blocks the transient beyond the elements stays a few block budgets
+    tracemalloc.start()
+    try:
+        net = witness.random_net(16, 0.4, size=8000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= net.elements.nbytes + 8 * witness._BLOCK_BYTES
 
 
 def test_net_resolution_validation():
@@ -140,6 +282,32 @@ def test_witness_search_soundness_on_random_net():
     result = witness.witness_search(phi, psi, net, tests)
     assert result is not None
     assert witness.distance_bound_check(phi, psi, result.unitary).below_two
+
+
+def _witness_reference(phi, psi, net, test_net):
+    """The three-operand einsum scan that the one-GEMM scan replaces."""
+    stack = np.stack(test_net.elements)
+    phi_vals = np.array([np.vdot(phi.vector, a @ phi.vector) for a in test_net.elements])
+    pulled = np.einsum("nji,j->ni", net.elements.conj(), psi.vector)
+    vals = np.einsum("ni,aij,nj->na", pulled.conj(), stack, pulled)
+    gaps = np.max(np.abs(vals - phi_vals[None, :]), axis=1)
+    hits = np.nonzero(gaps < 1.0 - witness.WITNESS_STRICTNESS)[0]
+    return (int(hits[0]), gaps[hits[0]]) if hits.size else None
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_witness_search_equals_einsum_scan(dim):
+    rng = np.random.default_rng(25 + dim)
+    net = witness.random_net(dim, 0.4, size=20_000, seed=dim)
+    tests = witness.build_test_element_net(dim, n_random=10, seed=dim)
+    for _ in range(6):
+        psi = VectorState(linalg.random_unit_vector(dim, rng))
+        phi = pullback(psi, linalg.haar_unitary(dim, rng))
+        result = witness.witness_search(phi, psi, net, tests)
+        expected = _witness_reference(phi, psi, net, tests)
+        assert result is not None and expected is not None
+        assert result.index == expected[0]
+        assert abs(result.gap - expected[1]) <= 1e-14
 
 
 def test_witness_gap_tracks_state_distance_when_identity_probe():
