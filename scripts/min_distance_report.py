@@ -3,8 +3,8 @@
 
 Writes min_distance.json (closed form vs the exact-image oracle, per
 dimension) and product_distance.json (the two-qubit constant
-adjudication) into the output directory, and how many of the oracle
-searches ran out of budget.
+adjudication) into the output directory, how many of the oracle
+searches ran out of budget, and in how many the best restart converged.
 """
 
 import json
@@ -17,9 +17,12 @@ OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
 
 
 def _exhausted(rows) -> str:
-    """How many of the rows' searches used their whole evaluation budget."""
+    """How many of the rows' searches used their whole evaluation budget,
+    and in how many the restart that found the distance had converged."""
     spent = sum(row["budget_exhausted"] for row in rows)
-    return f"{spent} of {len(rows)} searches ran out of budget"
+    converged = sum(row["best_step"] < 1e-6 for row in rows)
+    return (f"{spent} of {len(rows)} searches ran out of budget; "
+            f"the best restart converged in {converged}")
 
 
 def main() -> int:

@@ -58,44 +58,15 @@ EXIT_IO = 5
 OUTPUT_DIR_ENV = "CARLAB_OUT"
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise NumericalInvariantError(f"refusing to serialize non-finite value {x!r}")
-    return format(x, ".17g")
-
-
-def _to_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        parts = [f"{inner}{_to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+def _json_scalar(value):
+    """numpy scalars as Python scalars; any other unknown type is refused."""
+    if isinstance(value, np.generic):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _csv_cell(value) -> str:
+    """One CSV token; a float is the same shortest round-trip text as in JSON."""
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -103,7 +74,9 @@ def _csv_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
+        if not math.isfinite(value):
+            raise NumericalInvariantError(f"refusing to serialize non-finite value {float(value)!r}")
+        return repr(float(value))
     return str(value)
 
 
@@ -116,7 +89,10 @@ def write_artifact(path: Path, experiment: str, config: dict, rows: list, summar
             "rows": rows,
             "summary": summary,
         }
-        text = _to_json(doc) + "\n"
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False, default=_json_scalar) + "\n"
+        except ValueError as exc:  # a non-finite float
+            raise NumericalInvariantError(f"refusing to serialize: {exc}") from exc
     else:
         lines = [
             f"# experiment = {experiment}",
@@ -155,12 +131,10 @@ def _config_dict(args) -> dict:
 
 
 def _search_diagnostics(search: SearchResult) -> dict:
-    """How an oracle's search ended: the columns that show a cut-off search."""
-    return {
-        "evals_used": search.evals_used,
-        "final_step": search.final_step,
-        "budget_exhausted": search.budget_exhausted,
-    }
+    """How an oracle's search ended: every field of the result but the distance."""
+    diagnostics = asdict(search)
+    del diagnostics["distance"]
+    return diagnostics
 
 
 def run_min_distance(args):

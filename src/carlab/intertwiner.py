@@ -25,7 +25,7 @@ from .linalg import (
     phase_combination_norm,
     plane_rotation,
 )
-from .sequences import overlap_partial_products, validate_angles
+from .sequences import overlap_partial_products, paired_angles
 from .states import VectorState, separation_witness, state_distance
 from .truncation import level_of_dim, product_vector
 
@@ -102,10 +102,7 @@ def build_chain(
     the prefix product vector of alpha onto that of beta (exactly for the
     bare rotations, up to the accumulated phase otherwise).
     """
-    a = validate_angles(alpha)
-    b = validate_angles(beta)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"length mismatch: {a.size} vs {b.size}")
+    a, b = paired_angles(alpha, beta)
     if levels < 1 or levels > a.size:
         raise InvalidInputError(f"need 1 <= levels <= {a.size}, got {levels}")
     if levels > MAX_LEVEL:
@@ -265,10 +262,7 @@ def separation_rows(
     The measured distance must match 2 sqrt(1 - overlap^2) within 1e-8 at
     every level; a violation is an invariant error, not a data point.
     """
-    a = validate_angles(alpha)
-    b = validate_angles(beta)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"length mismatch: {a.size} vs {b.size}")
+    a, b = paired_angles(alpha, beta)
     if stop is None:
         stop = min(a.size, start + MAX_LEVEL - 1)
     if not 1 <= start <= stop <= a.size:
@@ -313,10 +307,7 @@ def distance_crossing_level(
     Runs on partial products alone, so it can scan far beyond the matrix
     cap; returns None when no admissible level crosses.
     """
-    a = validate_angles(alpha)
-    b = validate_angles(beta)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"length mismatch: {a.size} vs {b.size}")
+    a, b = paired_angles(alpha, beta)
     stop = min(a.size, limit)
     if not 1 <= start <= stop:
         return None

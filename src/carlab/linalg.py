@@ -1,6 +1,6 @@
 """Dense complex linear algebra primitives.
 
-Kronecker products, operator and trace norms, unitarity checks, the
+Input coercion, operator and trace norms, unitarity checks, the
 explicit plane / two-plane unitaries the rest of the package is built
 from, and the batched layer shared by the search oracles and the
 unitary nets: Hermitian matrices from real generator parameters, exp(iH)
@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_DIM, UNIT_NORM_TOL, UNITARY_TOL
-from .errors import DomainError, InvalidInputError, SizeLimitError
+from .config import UNIT_NORM_TOL, UNITARY_TOL
+from .errors import InvalidInputError, SizeLimitError
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -43,17 +43,13 @@ def as_unit_vector(v, tol: float = UNIT_NORM_TOL) -> np.ndarray:
     return w
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the package dimension cap."""
-    a = as_square_matrix(a)
-    b = as_square_matrix(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise SizeLimitError(
-            f"Kronecker product dimension {dim} exceeds cap {MAX_DIM}",
-            estimated_size=dim,
-        )
-    return np.kron(a, b)
+def unit_vector_pair(xi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors of one dimension, each coerced by `as_unit_vector`."""
+    xi = as_unit_vector(xi)
+    eta = as_unit_vector(eta)
+    if xi.shape != eta.shape:
+        raise InvalidInputError(f"dimension mismatch: {xi.shape[0]} vs {eta.shape[0]}")
+    return xi, eta
 
 
 def operator_norm(a) -> float:
@@ -163,24 +159,6 @@ def expi_hermitian(h: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
 
 
-def projector(v) -> np.ndarray:
-    """Rank-one orthogonal projection onto the span of a unit vector."""
-    v = as_unit_vector(v)
-    return np.outer(v, v.conj())
-
-
-def rotation_unitary(t: float) -> np.ndarray:
-    """The 2x2 real rotation with first column (t, sqrt(1-t^2)).
-
-    Maps (1, 0) to (t, sqrt(1-t^2)) and satisfies ||I - u||^2 = 2 - 2t.
-    """
-    t = float(t)
-    if not np.isfinite(t) or abs(t) > 1.0:
-        raise DomainError(f"rotation parameter {t!r} outside [-1, 1]")
-    s = np.sqrt(max(1.0 - t * t, 0.0))
-    return np.array([[t, -s], [s, t]], dtype=np.complex128)
-
-
 def plane_rotation(angle: float) -> np.ndarray:
     """The 2x2 real rotation by `angle` radians."""
     c, s = np.cos(angle), np.sin(angle)
@@ -198,12 +176,7 @@ def two_plane_unitary(xi, eta) -> np.ndarray:
     line C*xi and identity elsewhere (the continuous limit of the generic
     construction).
     """
-    xi = as_unit_vector(xi)
-    eta = as_unit_vector(eta)
-    if xi.shape != eta.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: {xi.shape[0]} vs {eta.shape[0]}"
-        )
+    xi, eta = unit_vector_pair(xi, eta)
     d = xi.shape[0]
     c = np.vdot(xi, eta)
     resid = eta - c * xi
@@ -227,8 +200,7 @@ def phase_align(xi, eta) -> np.ndarray:
     Vector states forget global phases, so this is a free normalization
     when xi and eta stand for states rather than bare vectors.
     """
-    xi = as_unit_vector(xi)
-    eta = as_unit_vector(eta)
+    xi, eta = unit_vector_pair(xi, eta)
     t = np.vdot(xi, eta)
     if abs(t) < 1e-14:
         return eta
@@ -251,15 +223,6 @@ def phase_combination_norm(phase_pairs: Sequence[tuple[float, float]]) -> float:
     for p, q in phase_pairs:
         sums = np.concatenate([sums + p, sums + q])
     return float(np.max(np.abs(1.0 - np.exp(1j * sums))))
-
-
-def rotation_block_norm(thetas: Sequence[float]) -> float:
-    """||I - (tensor product of plane rotations by thetas)||, in closed form.
-
-    Each rotation contributes eigenphases (+theta, -theta); the norm is the
-    maximum of |1 - exp(i * sum)| over all sign patterns.
-    """
-    return phase_combination_norm([(float(t), -float(t)) for t in thetas])
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

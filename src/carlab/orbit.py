@@ -20,11 +20,11 @@ import numpy as np
 from .config import MAX_DIM
 from .errors import DomainError, InvalidInputError, SizeLimitError
 from .linalg import (
-    as_unit_vector,
     expi_hermitian,
     hermitian_from_params,
     operator_norms,
     two_plane_unitary,
+    unit_vector_pair,
 )
 
 _ORACLE_DIMS = (2, 3, 4)
@@ -44,12 +44,7 @@ class OverlapReport:
 
 def min_distance_closed_form(xi, eta) -> OverlapReport:
     """Closed form sqrt(2 (1 - |<xi|eta>|)) with the overlap that feeds it."""
-    xi = as_unit_vector(xi)
-    eta = as_unit_vector(eta)
-    if xi.shape != eta.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: {xi.shape[0]} vs {eta.shape[0]}"
-        )
+    xi, eta = unit_vector_pair(xi, eta)
     t = complex(np.vdot(xi, eta))
     a = min(abs(t), 1.0)
     return OverlapReport(
@@ -66,13 +61,18 @@ class SearchResult:
     `evals_used` never exceeds the budget, and `budget_exhausted` holds iff
     it reached it.  `final_step` is the poll step the last restart ended
     with: below the step floor iff that restart converged rather than
-    being cut off by the budget.
+    being cut off by the budget.  Spare restarts spend the budget after a
+    converged one, so `converged_restarts` counts the restarts that ended
+    below the floor and `best_step` is the last step of the one that found
+    `distance`.
     """
 
     distance: float
     evals_used: int
     final_step: float
     budget_exhausted: bool
+    converged_restarts: int
+    best_step: float
 
 
 def _stabilizer(eta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -134,7 +134,8 @@ def _search_minimum(
     rng = np.random.default_rng(seed)
     used = 0
     best = np.inf
-    step = _STEP_INIT
+    step = best_step = _STEP_INIT
+    converged = 0
     for restart in range(_MAX_RESTARTS):
         if restart == 0:
             x0 = np.zeros(n_params)
@@ -146,22 +147,21 @@ def _search_minimum(
         used += 1
         fx, evals, step = _pattern_search(objective, x0, f0, budget - used)
         used += evals
-        best = min(best, fx)
+        converged += step < _STEP_MIN
+        if fx < best:
+            best, best_step = fx, step
     return SearchResult(
         distance=best,
         evals_used=used,
         final_step=step,
         budget_exhausted=used >= budget,
+        converged_restarts=converged,
+        best_step=best_step,
     )
 
 
 def _check_oracle_inputs(xi, eta, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    xi = as_unit_vector(xi)
-    eta = as_unit_vector(eta)
-    if xi.shape != eta.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: {xi.shape[0]} vs {eta.shape[0]}"
-        )
+    xi, eta = unit_vector_pair(xi, eta)
     if xi.shape[0] not in _ORACLE_DIMS:
         raise DomainError(
             f"search oracle supports dimensions {_ORACLE_DIMS}, got {xi.shape[0]}"
@@ -260,10 +260,9 @@ def product_min_distance(xis: Sequence, etas: Sequence) -> ProductDistanceReport
     total = 1
     log_p = 0.0
     for x, e in zip(xis, etas):
-        x = as_unit_vector(x)
-        e = as_unit_vector(e)
-        if x.shape != e.shape or x.shape[0] < 2:
-            raise InvalidInputError("factors must be same-dimension vectors, dim >= 2")
+        x, e = unit_vector_pair(x, e)
+        if x.shape[0] < 2:
+            raise InvalidInputError("factors must be vectors of dimension >= 2")
         total *= x.shape[0]
         if total > MAX_DIM:
             raise SizeLimitError(

@@ -101,13 +101,8 @@ def read_angle_file(path) -> np.ndarray:
     return validate_angles(np.asarray(values))
 
 
-def write_angle_file(path, values) -> None:
-    """Write the plain-text sequence format: one decimal angle per line."""
-    arr = validate_angles(values)
-    Path(path).write_text("".join(format(float(v), ".17g") + "\n" for v in arr))
-
-
-def _paired(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+def paired_angles(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Two validated angle sequences of equal length."""
     a = validate_angles(alpha)
     b = validate_angles(beta)
     if a.shape != b.shape:
@@ -117,13 +112,13 @@ def _paired(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
 
 def l2_partial_sums(alpha, beta) -> np.ndarray:
     """Cumulative sums of (alpha_n - beta_n)^2."""
-    a, b = _paired(alpha, beta)
+    a, b = paired_angles(alpha, beta)
     return np.cumsum((a - b) ** 2)
 
 
 def half_angle_partial_sums(alpha, beta) -> np.ndarray:
     """Cumulative sums of sin^2((alpha_n - beta_n) / 2)."""
-    a, b = _paired(alpha, beta)
+    a, b = paired_angles(alpha, beta)
     return np.cumsum(np.sin((a - b) / 2.0) ** 2)
 
 
@@ -154,7 +149,7 @@ def overlap_partial_products(alpha, beta, start: int = 0, stop: int | None = Non
 
     Indices follow Python slicing on the paired sequences.
     """
-    a, b = _paired(alpha, beta)
+    a, b = paired_angles(alpha, beta)
     if stop is None:
         stop = a.size
     if not 0 <= start <= stop <= a.size:
@@ -214,7 +209,7 @@ def classify_pair(alpha, beta, policy: WindowPolicy = WindowPolicy()) -> PairDia
     "inequivalent-trend" needs the opposite on all three; any disagreement
     is reported as "inconclusive" rather than forced.
     """
-    a, b = _paired(alpha, beta)
+    a, b = paired_angles(alpha, beta)
     if a.size < policy.min_length:
         raise InvalidInputError(
             f"need at least {policy.min_length} terms, got {a.size}"

@@ -9,19 +9,19 @@ their span, whatever the dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .config import CONTRACTION_SLACK
-from .errors import InvalidInputError, LevelError
+from .errors import InvalidInputError
 from .linalg import (
     as_square_matrix,
     as_unit_vector,
     is_unitary,
     operator_norm,
     trace_norm,
+    unit_vector_pair,
 )
+from .truncation import level_of_dim
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,8 @@ class VectorState:
 
     @property
     def level(self) -> int:
-        """Truncation level when the dimension is a power of two."""
-        d = self.dim
-        if d & (d - 1) != 0:
-            raise LevelError(f"dimension {d} is not a power of two")
-        return d.bit_length() - 1
+        """Truncation level whose dimension is the state's (see `level_of_dim`)."""
+        return level_of_dim(self.dim)
 
 
 def evaluate(state: VectorState, a) -> complex:
@@ -70,14 +67,13 @@ def pullback(state: VectorState, u) -> VectorState:
     return VectorState(u.conj().T @ state.vector)
 
 
-def _on_span(xi: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, ...]:
+def _on_span(xi, eta) -> tuple[np.ndarray, ...]:
     """P_xi - P_eta, xi and eta in an orthonormal basis of span{xi, eta}.
 
     The R factor of a QR of the d x 2 matrix [xi eta] holds the coordinates
     in the columns of Q; exact also for colinear pairs and d = 1.
     """
-    if xi.shape != eta.shape:
-        raise InvalidInputError(f"dimension mismatch: {xi.shape[0]} vs {eta.shape[0]}")
+    xi, eta = unit_vector_pair(xi, eta)
     x, y = np.linalg.qr(np.stack([xi, eta], axis=1), mode="r").T
     return np.outer(x, x.conj()) - np.outer(y, y.conj()), x, y
 
@@ -106,35 +102,9 @@ def separation_witness(xi, eta) -> SeparationWitness:
     c^2 - 1 in the second, and the observable has norm sqrt(1 - c^2): close
     to orthogonality it almost realizes the full functional distance 2.
     """
-    a, x, y = _on_span(as_unit_vector(xi), as_unit_vector(eta))
+    a, x, y = _on_span(xi, eta)
     return SeparationWitness(
         first_value=float(np.vdot(x, a @ x).real),
         second_value=float(np.vdot(y, a @ y).real),
         norm=operator_norm(a),
     )
-
-
-def sup_gap(
-    phi: VectorState,
-    psi: VectorState,
-    u,
-    test_set: Sequence[np.ndarray],
-) -> float:
-    """max over the test set of |phi(a) - psi(u a u*)|.
-
-    Test elements must be contractions; the gap over any such finite set is
-    dominated by the functional norm ||phi - psi o Ad u||.
-    """
-    u = as_square_matrix(u)
-    if phi.dim != psi.dim or u.shape[0] != phi.dim:
-        raise InvalidInputError("state and unitary dimensions must agree")
-    pulled = u.conj().T @ psi.vector
-    worst = 0.0
-    for a in test_set:
-        a = as_square_matrix(a)
-        if operator_norm(a) > 1.0 + CONTRACTION_SLACK:
-            raise InvalidInputError("test elements must be contractions")
-        gap = abs(complex(np.vdot(phi.vector, a @ phi.vector))
-                  - complex(np.vdot(pulled, a @ pulled)))
-        worst = max(worst, gap)
-    return worst

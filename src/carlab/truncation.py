@@ -16,11 +16,6 @@ from .linalg import as_square_matrix
 from .sequences import validate_angles
 
 
-def level_dim(n: int) -> int:
-    """Dimension 2^n of the level-n truncation."""
-    return 1 << check_level(n)
-
-
 def check_level(n: int) -> int:
     """Validate a truncation level against the level cap."""
     n = int(n)

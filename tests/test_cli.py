@@ -43,6 +43,20 @@ def test_min_distance_json(tmp_path):
     _check_search_columns(doc["rows"], 1500)
 
 
+def test_exhausted_search_reports_its_converged_restarts(tmp_path):
+    # spare restarts spend the budget after the best restart has converged
+    code, out = _run(
+        tmp_path, ["min-distance", "--dim", "4", "--trials", "5", "--seed", "7"], "md4.json"
+    )
+    assert code == 0
+    rows = _load(out)["rows"]
+    assert list(rows[0])[-3:] == ["budget_exhausted", "converged_restarts", "best_step"]
+    for row in rows:
+        assert row["budget_exhausted"] is True
+        assert row["converged_restarts"] >= 1
+        assert row["best_step"] < 1e-6
+
+
 def test_product_distance_json(tmp_path):
     code, out = _run(
         tmp_path,
@@ -294,6 +308,7 @@ def _reject_constant(token):
         ["fsigma-search", "--pairs", "2", "--epsilon", "0.9", "--density-check",
          "--density-probes", "3"],
         ["product-test", "--family", "telescoping"],
+        ["min-distance", "--dim", "4", "--trials", "5", "--seed", "7"],
     ],
 )
 def test_artifacts_are_strict_json(tmp_path, argv):
@@ -301,6 +316,10 @@ def test_artifacts_are_strict_json(tmp_path, argv):
     assert code == 0
     doc = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert doc["experiment"] == argv[0]
+    # a float column holding an integral value must not read back as an int
+    for key in doc["rows"][0]:
+        types = {type(row[key]) for row in doc["rows"] if row[key] is not None}
+        assert len(types) == 1, (key, types)
 
 
 def test_exit_code_io_error(tmp_path):
@@ -323,14 +342,15 @@ def test_exit_code_numerical_invariant(tmp_path, monkeypatch, capsys):
     assert record["error"] == "numerical-invariant"
 
 
-def test_float_formatting_17_digits(tmp_path):
+def test_float_text_is_shortest_round_trip(tmp_path):
     _, out = _run(
         tmp_path,
         ["product-test", "--family", "telescoping", "--terms", "3"],
         "fmt.json",
     )
     text = out.read_text()
-    assert "0.33333333333333331" in text
+    assert '"exact": 0.3333333333333333\n' in text
+    assert json.loads(text)["rows"][1]["exact"] == 1.0 / 3.0
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -148,7 +148,7 @@ def test_block_gap_against_tail_product_example():
     prod = np.prod(np.cos(alpha[2:6]))
     assert gap.overlap_bound == pytest.approx(np.sqrt(2 * (1 - prod)), abs=1e-12)
     assert gap.measured == pytest.approx(
-        linalg.rotation_block_norm(alpha[2:6]), abs=1e-10
+        linalg.phase_combination_norm([(t, -t) for t in alpha[2:6]]), abs=1e-10
     )
 
 

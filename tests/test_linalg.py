@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab import linalg
-from carlab.errors import DomainError, InvalidInputError, SizeLimitError
+from carlab import intertwiner, linalg, orbit, states
+from carlab.errors import DomainError, InvalidInputError
+from reference import projector, rotation_unitary
 
 
 def test_kron_identity():
-    out = linalg.kron(np.eye(2), np.eye(2))
+    out = np.kron(np.eye(2), np.eye(2))
     np.testing.assert_allclose(out, np.eye(4))
 
 
 def test_kron_rank_one_projection():
     e11 = np.zeros((2, 2), dtype=complex)
     e11[0, 0] = 1.0
-    out = linalg.kron(e11, e11)
+    out = np.kron(e11, e11)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(out, expected)
@@ -29,7 +30,7 @@ def test_kron_acts_factorwise():
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     x = rng.normal(size=2) + 1j * rng.normal(size=2)
     y = rng.normal(size=2) + 1j * rng.normal(size=2)
-    lhs = linalg.kron(a, b) @ np.kron(x, y)
+    lhs = np.kron(a, b) @ np.kron(x, y)
     rhs = np.kron(a @ x, b @ y)
     assert np.linalg.norm(lhs - rhs) <= 1e-12
 
@@ -39,15 +40,10 @@ def test_kron_acts_factorwise():
 def test_kron_associative(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    left = linalg.kron(linalg.kron(a, b), c)
-    right = linalg.kron(a, linalg.kron(b, c))
+    left = np.kron(np.kron(a, b), c)
+    right = np.kron(a, np.kron(b, c))
     # same index reshuffling; only the multiplication order differs
     assert np.max(np.abs(left - right)) <= 1e-14
-
-
-def test_kron_size_cap():
-    with pytest.raises(SizeLimitError):
-        linalg.kron(np.eye(128), np.eye(64))
 
 
 def test_operator_norm_basics():
@@ -88,7 +84,7 @@ def test_trace_norm_projection_difference():
     for _ in range(20):
         xi = linalg.random_unit_vector(5, rng)
         eta = linalg.random_unit_vector(5, rng)
-        diff = linalg.projector(xi) - linalg.projector(eta)
+        diff = projector(xi) - projector(eta)
         oracle = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
         assert abs(linalg.trace_norm(diff) - oracle) <= 1e-12
         c = abs(np.vdot(xi, eta))
@@ -227,33 +223,33 @@ def test_haar_unitary_stack_equals_single_draws(dim):
 
 
 def test_rotation_columns_orthonormal():
-    u = linalg.rotation_unitary(np.cos(0.3))
+    u = rotation_unitary(np.cos(0.3))
     gram = u.conj().T @ u
     assert np.linalg.norm(gram - np.eye(2)) <= 1e-12
     assert linalg.is_unitary(u)
 
 
 def test_rotation_unitary_endpoints():
-    np.testing.assert_allclose(linalg.rotation_unitary(1.0), np.eye(2))
-    u = linalg.rotation_unitary(0.0)
+    np.testing.assert_allclose(rotation_unitary(1.0), np.eye(2))
+    u = rotation_unitary(0.0)
     np.testing.assert_allclose(u @ np.array([1.0, 0.0]), np.array([0.0, 1.0]), atol=1e-15)
     assert abs(linalg.operator_norm(np.eye(2) - u) - np.sqrt(2)) <= 1e-12
 
 
 def test_rotation_unitary_gap_identity():
-    u = linalg.rotation_unitary(0.8)
+    u = rotation_unitary(0.8)
     assert abs(linalg.operator_norm(np.eye(2) - u) ** 2 - 0.4) <= 1e-12
 
 
 def test_rotation_unitary_domain():
     with pytest.raises(DomainError):
-        linalg.rotation_unitary(1.0 + 1e-9)
+        rotation_unitary(1.0 + 1e-9)
 
 
 @settings(deadline=None, max_examples=80)
 @given(t=st.floats(-1.0, 1.0))
 def test_rotation_gap_identity_everywhere(t):
-    u = linalg.rotation_unitary(t)
+    u = rotation_unitary(t)
     assert abs(linalg.operator_norm(np.eye(2) - u) ** 2 - (2 - 2 * t)) <= 1e-10
 
 
@@ -329,6 +325,37 @@ def test_two_plane_unitary_dimension_mismatch():
         linalg.two_plane_unitary(np.array([1.0, 0.0]), np.array([1.0, 0, 0]))
 
 
+def _state_distance(xi, eta):
+    return states.state_distance(states.VectorState(xi), states.VectorState(eta))
+
+
+def _build_chain(alpha, beta):
+    return intertwiner.build_chain(alpha, beta, 1)
+
+
+_VECTORS = (np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+_ANGLES = (np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3]))
+_MISMATCHED = [
+    (linalg.unit_vector_pair, _VECTORS),
+    (linalg.two_plane_unitary, _VECTORS),
+    (linalg.phase_align, _VECTORS),
+    (orbit.min_distance_closed_form, _VECTORS),
+    (orbit.min_distance_bruteforce, _VECTORS),
+    (orbit.state_min_distance_bruteforce, _VECTORS),
+    (_state_distance, _VECTORS),
+    (states.separation_witness, _VECTORS),
+    (_build_chain, _ANGLES),
+    (intertwiner.separation_rows, _ANGLES),
+    (intertwiner.distance_crossing_level, _ANGLES),
+]
+
+
+@pytest.mark.parametrize("entry, pair", _MISMATCHED, ids=[e.__name__ for e, _ in _MISMATCHED])
+def test_mismatched_pair_rejected_at_every_entry_point(entry, pair):
+    with pytest.raises(InvalidInputError):
+        entry(*pair)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_rotation_block_norm_matches_dense(k):
     rng = np.random.default_rng(100 + k)
@@ -337,7 +364,7 @@ def test_rotation_block_norm_matches_dense(k):
     for t in thetas:
         block = np.kron(block, linalg.plane_rotation(t))
     dense = linalg.operator_norm(np.eye(2**k) - block)
-    closed = linalg.rotation_block_norm(thetas)
+    closed = linalg.phase_combination_norm([(t, -t) for t in thetas])
     assert abs(dense - closed) <= 1e-10
     # brute-force sign-pattern oracle, written out independently
     oracle = max(

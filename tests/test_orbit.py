@@ -217,6 +217,9 @@ def test_oracle_budget_accounting(dim, state, budget, seed):
     assert result.budget_exhausted == (result.evals_used == budget)
     # a cut-off search ends at a step it still polled; a finished one below the floor
     assert result.budget_exhausted == (result.final_step >= orbit._STEP_MIN)
+    # only the budget stops restarting early, so a search it never cut converged every restart
+    if not result.budget_exhausted:
+        assert result.converged_restarts == orbit._MAX_RESTARTS
 
 
 def test_pattern_search_minimizes_separable_quadratic():

