@@ -32,10 +32,10 @@ from .intertwiner import (
 from .linalg import haar_unitary, phase_align, random_unit_vector
 from .orbit import (
     SearchResult,
-    min_distance_bruteforce,
     min_distance_closed_form,
+    min_distance_searches,
     product_min_distance,
-    state_min_distance_bruteforce,
+    state_min_distance_searches,
 )
 from .seeding import derive_seeds
 from .sequences import angles_from_descriptor, classify_pair, partial_products, weierstrass_bounds, WindowPolicy
@@ -139,15 +139,19 @@ def _search_diagnostics(search: SearchResult) -> dict:
 
 def run_min_distance(args):
     """Closed form vs exact-image search oracle on random vector pairs."""
-    rows = []
-    worst = 0.0
-    for trial, seed in enumerate(derive_seeds(args.seed, args.trials)):
+    seeds = derive_seeds(args.seed, args.trials)
+    xis, etas = [], []
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         xi = random_unit_vector(args.dim, rng)
+        xis.append(xi)
         # states forget global phases, so compare on the aligned representative
-        eta = phase_align(xi, random_unit_vector(args.dim, rng))
+        etas.append(phase_align(xi, random_unit_vector(args.dim, rng)))
+    searches = min_distance_searches(xis, etas, args.budget, seeds)
+    rows = []
+    worst = 0.0
+    for trial, (xi, eta, search) in enumerate(zip(xis, etas, searches)):
         report = min_distance_closed_form(xi, eta)
-        search = min_distance_bruteforce(xi, eta, budget=args.budget, seed=seed)
         err = abs(search.distance - report.closed_form_distance)
         worst = max(worst, err)
         rows.append(
@@ -171,16 +175,20 @@ def run_min_distance(args):
 
 def run_product_distance(args):
     """Adjudicate the two rival product-state constants with the oracle."""
-    rows = []
-    max_err_single = 0.0
-    min_dev_doubled = np.inf
-    for pair, seed in enumerate(derive_seeds(args.seed, args.pairs)):
+    seeds = derive_seeds(args.seed, args.pairs)
+    reports, xis, etas = [], [], []
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         x1, x2 = random_unit_vector(2, rng), random_unit_vector(2, rng)
         e1, e2 = random_unit_vector(2, rng), random_unit_vector(2, rng)
-        report = product_min_distance([x1, x2], [e1, e2])
-        xi, eta = np.kron(x1, x2), np.kron(e1, e2)
-        search = state_min_distance_bruteforce(xi, eta, budget=args.budget, seed=seed)
+        reports.append(product_min_distance([x1, x2], [e1, e2]))
+        xis.append(np.kron(x1, x2))
+        etas.append(np.kron(e1, e2))
+    searches = state_min_distance_searches(xis, etas, args.budget, seeds)
+    rows = []
+    max_err_single = 0.0
+    min_dev_doubled = np.inf
+    for pair, (report, search) in enumerate(zip(reports, searches)):
         err_single = abs(search.distance - report.distance_single)
         dev_doubled = abs(search.distance - report.distance_doubled)
         max_err_single = max(max_err_single, err_single)

@@ -4,7 +4,8 @@ Matrices are dense complex128 where they are formed; chains and pairs of
 vector states keep their tensor structure and form none of full
 dimension.  The caps (dimension 4096, level 12) keep eigen-decompositions
 trustworthy and memory bounded; everything above them is rejected rather
-than approximated.
+than approximated.  Kernels that stack many small matrices work in
+blocks of at most BLOCK_BYTES, sized by `block_rows`.
 """
 
 MAX_DIM = 4096
@@ -13,3 +14,12 @@ UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
 CONTRACTION_SLACK = 1e-9
 WITNESS_STRICTNESS = 1e-12
+# one working array of a blocked kernel: a drawn block of unitaries, a
+# float (elements x probes) block of the nearest-element scan, or the
+# stacked polls of a block of search trials
+BLOCK_BYTES = 1 << 22
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes that fit one working block, at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)

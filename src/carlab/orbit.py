@@ -6,8 +6,12 @@ mode insists u xi = eta; the state mode only requires equality of the
 induced vector states, which frees a global phase on the image.  The gap
 between the modes is precisely where the question about the product-state
 constant lives, so neither is allowed to borrow the other's answer.
-Both oracles run the same compass search, whose polls are evaluated as
-one stacked call through the batched `linalg` layer.
+Both oracles run the same compass search on many pairs at once.  Trials
+run in lockstep: each iteration evaluates the start point or poll of
+every live trial as one stacked call through the batched `linalg` layer,
+while each trial's restarts stay sequential on its own budget, so a
+trial's result does not depend on the others.  The single-pair oracles
+are the one-trial case.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import MAX_DIM
+from .config import MAX_DIM, block_rows
 from .errors import DomainError, InvalidInputError, SizeLimitError
 from .linalg import (
     expi_hermitian,
@@ -75,160 +79,271 @@ class SearchResult:
     best_step: float
 
 
-def _stabilizer(eta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Stabilizer elements of eta from rows of (d-1)^2 real parameters.
+def _stabilizer(etas: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Stabilizer elements of each eta from rows of (d-1)^2 real parameters.
 
-    Each row is a Hermitian generator on the orthogonal complement of eta;
-    its element is the identity on C*eta and exp(iH) on the complement.
+    Row r is a Hermitian generator on the orthogonal complement of
+    etas[trial[r]]; its element is the identity on that eta's line and
+    exp(iH) on the complement.
     """
-    d = eta.shape[0]
-    q = np.linalg.qr(eta.reshape(d, 1), mode="complete")[0][:, 1:]
-    proj = np.outer(eta, eta.conj())
+    d = etas.shape[1]
+    q = np.stack([np.linalg.qr(eta.reshape(d, 1), mode="complete")[0][:, 1:] for eta in etas])
+    qh = q.conj().transpose(0, 2, 1)
+    proj = etas[:, :, None] * etas.conj()[:, None, :]
 
-    def elements(x: np.ndarray) -> np.ndarray:
+    def elements(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
         w = expi_hermitian(hermitian_from_params(x, d - 1))
-        return proj + q @ w @ q.conj().T
+        return proj[trial] + q[trial] @ w @ qh[trial]
 
     return elements
 
 
-def _pattern_search(
-    f: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    f0: float,
-    budget: int,
-) -> tuple[float, int, float]:
-    """Compass search with a complete poll and a halving step schedule.
+class _Trials:
+    """The live trials of a lockstep compass search, one array entry each.
 
-    Each iteration evaluates all 2P moves x +/- step e_i, ordered +e_0,
-    -e_0, +e_1, ..., as one (2P, P) stack; it moves to the best poll point
-    if that improves on fx and halves the step otherwise (Kolda, Lewis &
-    Torczon, SIAM Review 45, 2003).  A poll is cut to its first moves when
-    the budget runs short.  Returns the best value, the evaluations used
-    and the final step.
+    A trial is `starting` in the first iteration of each restart, which
+    evaluates the start point along with the first poll around it.  A
+    trial whose last restart has ended leaves the arrays; its result is
+    then in `results`, at its index in the seed list.
     """
-    n = x0.size
-    moves = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
-    x, fx = x0, f0
-    evals = 0
-    step = _STEP_INIT
-    while step >= _STEP_MIN and evals < budget:
-        poll = x + step * moves[: budget - evals]
-        fy = f(poll)
-        evals += poll.shape[0]
-        best = int(np.argmin(fy))
-        if fy[best] < fx:
-            x, fx = poll[best], float(fy[best])
-        elif evals < budget:
-            step *= 0.5
-    return fx, evals, step
 
-
-def _search_minimum(
-    objective: Callable[[np.ndarray], np.ndarray],
-    n_params: int,
-    budget: int,
-    seed: int,
-) -> SearchResult:
-    """Identity start plus seeded random restarts, run in turn on one budget."""
-    rng = np.random.default_rng(seed)
-    used = 0
-    best = np.inf
-    step = best_step = _STEP_INIT
-    converged = 0
-    for restart in range(_MAX_RESTARTS):
-        if restart == 0:
-            x0 = np.zeros(n_params)
-        else:
-            x0 = rng.normal(scale=1.0, size=n_params)
-        if used >= budget:
-            break
-        f0 = float(objective(x0[None])[0])
-        used += 1
-        fx, evals, step = _pattern_search(objective, x0, f0, budget - used)
-        used += evals
-        converged += step < _STEP_MIN
-        if fx < best:
-            best, best_step = fx, step
-    return SearchResult(
-        distance=best,
-        evals_used=used,
-        final_step=step,
-        budget_exhausted=used >= budget,
-        converged_restarts=converged,
-        best_step=best_step,
+    _ARRAYS = (
+        "ids", "x", "fx", "step", "used", "restart", "starting", "best", "best_step", "converged",
     )
 
+    def __init__(self, n_params: int, budget: int, seeds: Sequence[int]):
+        n = len(seeds)
+        self.budget = budget
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.results: list[SearchResult | None] = [None] * n
+        self.ids = np.arange(n)
+        self.x = np.zeros((n, n_params))
+        self.fx = np.full(n, np.inf)
+        self.step = np.full(n, _STEP_INIT)
+        self.used = np.zeros(n, dtype=np.int64)
+        self.restart = np.zeros(n, dtype=np.int64)
+        self.starting = np.ones(n, dtype=bool)
+        self.best = np.full(n, np.inf)
+        self.best_step = np.full(n, _STEP_INIT)
+        self.converged = np.zeros(n, dtype=np.int64)
 
-def _check_oracle_inputs(xi, eta, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    xi, eta = unit_vector_pair(xi, eta)
-    if xi.shape[0] not in _ORACLE_DIMS:
-        raise DomainError(
-            f"search oracle supports dimensions {_ORACLE_DIMS}, got {xi.shape[0]}"
-        )
+    def end_restarts(self, ended: np.ndarray) -> None:
+        """Score the restarts that just ended and begin each trial's next one.
+
+        Restart r > 0 starts from the trial's r-th normal draw, as long as
+        the trial has budget left for it; a trial without one is done.
+        """
+        step = self.step[ended]
+        self.converged[ended] += step < _STEP_MIN
+        better = self.fx[ended] < self.best[ended]
+        self.best[ended[better]] = self.fx[ended[better]]
+        self.best_step[ended[better]] = step[better]
+        self.restart[ended] += 1
+        done = []
+        for k in ended:
+            if self.restart[k] == _MAX_RESTARTS or self.used[k] >= self.budget:
+                done.append(k)
+                continue
+            self.x[k] = self.rngs[self.ids[k]].normal(scale=1.0, size=self.x.shape[1])
+            self.step[k] = _STEP_INIT
+            self.starting[k] = True
+        if done:
+            self._retire(done)
+
+    def _retire(self, done: list[int]) -> None:
+        """Record the results of finished trials and drop them from the arrays."""
+        for k in done:
+            self.results[self.ids[k]] = SearchResult(
+                distance=float(self.best[k]),
+                evals_used=int(self.used[k]),
+                final_step=float(self.step[k]),
+                budget_exhausted=bool(self.used[k] >= self.budget),
+                converged_restarts=int(self.converged[k]),
+                best_step=float(self.best_step[k]),
+            )
+        live = np.ones(self.ids.size, dtype=bool)
+        live[done] = False
+        for name in self._ARRAYS:
+            setattr(self, name, getattr(self, name)[live])
+
+
+def _lockstep_search(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_params: int,
+    budget: int,
+    seeds: Sequence[int],
+) -> list[SearchResult]:
+    """Compass search with restarts, every trial advanced in lockstep.
+
+    Trial k runs the identity start and then seeded restarts from
+    `default_rng(seeds[k])` in turn, on its own budget.  Each restart is a
+    compass search with a complete poll and a halving step schedule: all 2P
+    moves x +/- step e_i, ordered +e_0, -e_0, +e_1, ..., are evaluated, the
+    search moves to the best poll point if that improves on fx and halves
+    the step otherwise (Kolda, Lewis & Torczon, SIAM Review 45, 2003).  A
+    poll is cut to its first moves when the budget runs short.
+
+    Each iteration stacks the rows of every live trial into one
+    `objective(x, trial)` call whose `trial` column names the trial of each
+    row.  Trials are independent and a row's value does not depend on the
+    rest of the stack, so each result is the one its trial gets alone.
+    """
+    p = n_params
+    # move 0 stays put: a restart's first iteration also evaluates its start
+    compass = np.stack([np.eye(p), -np.eye(p)], axis=1).reshape(2 * p, p)
+    moves = np.concatenate([np.zeros((1, p)), compass])
+    cols = np.arange(2 * p + 1)
+    t = _Trials(p, budget, seeds)
+    while t.ids.size:
+        n = t.ids.size
+        cand = t.x[:, None, :] + t.step[:, None, None] * moves
+        room = budget - t.used
+        if t.starting.any() or room.min() < 2 * p:
+            # a trial's columns lo..lo+room-1: its start point while
+            # starting, then its poll, cut to the budget left
+            lo = ~t.starting
+            keep = (cols >= lo[:, None]) & (cols < (room + lo)[:, None])
+            trial, move = np.nonzero(keep)
+            fy = np.full(keep.shape, np.inf)
+            fy[trial, move] = objective(cand[trial, move], t.ids[trial])
+            t.used += keep.sum(axis=1)
+            np.copyto(t.fx, fy[:, 0], where=t.starting)
+            t.starting[:] = False
+            fpoll = fy[:, 1:]
+        else:
+            # every trial polls all 2P moves
+            rows = cand[:, 1:].reshape(-1, p)
+            fpoll = objective(rows, np.repeat(t.ids, 2 * p)).reshape(n, 2 * p)
+            t.used += 2 * p
+        every = np.arange(n)
+        best = fpoll.argmin(axis=1)
+        fb = fpoll[every, best]
+        better = fb < t.fx
+        t.x = np.where(better[:, None], cand[every, best + 1], t.x)
+        t.fx = np.where(better, fb, t.fx)
+        spent = t.used >= budget
+        t.step = np.where(better | spent, t.step, 0.5 * t.step)
+        ended = np.flatnonzero((t.step < _STEP_MIN) | spent)
+        if ended.size:
+            t.end_restarts(ended)
+    return t.results
+
+
+def _check_oracle_inputs(xis, etas, budget: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of unit vectors of one supported dimension, one seed per pair."""
+    if not len(xis) or not len(xis) == len(etas) == len(seeds):
+        raise InvalidInputError("need equally many pairs and seeds, at least one")
+    pairs = [unit_vector_pair(xi, eta) for xi, eta in zip(xis, etas)]
+    dims = {xi.shape[0] for xi, _ in pairs}
+    if len(dims) > 1:
+        raise InvalidInputError(f"pairs of one dimension expected, got {sorted(dims)}")
+    dim = dims.pop()
+    if dim not in _ORACLE_DIMS:
+        raise DomainError(f"search oracle supports dimensions {_ORACLE_DIMS}, got {dim}")
     if budget < 1000:
         raise InvalidInputError("oracle budget must be at least 1000")
-    return xi, eta
+    return np.stack([xi for xi, _ in pairs]), np.stack([eta for _, eta in pairs])
 
 
-def _exact_image_objective(xi: np.ndarray, eta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """||I - u|| for each parameter row, u = (stabilizer element) (xi -> eta)."""
-    stabilizer = _stabilizer(eta)
-    base = two_plane_unitary(xi, eta)
-    eye = np.eye(xi.shape[0], dtype=np.complex128)
+def _searches(build, extra_params: int, xis, etas, budget: int, seeds) -> list[SearchResult]:
+    """One search per pair, over extra + (d-1)^2 parameters.
 
-    def objective(x: np.ndarray) -> np.ndarray:
-        return operator_norms(eye - stabilizer(x) @ base)
+    Trials run in blocks, each as one lockstep search, so that the full
+    polls of a block (2P d x d complex matrices per trial) stay within
+    the byte cap.
+    """
+    seeds = list(seeds)
+    xis, etas = _check_oracle_inputs(xis, etas, budget, seeds)
+    d = xis.shape[1]
+    n_params = extra_params + (d - 1) ** 2
+    per_block = block_rows(2 * n_params * 16 * d * d)
+    results = []
+    for lo in range(0, len(seeds), per_block):
+        block = slice(lo, lo + per_block)
+        results += _lockstep_search(build(xis[block], etas[block]), n_params, budget, seeds[block])
+    return results
+
+
+def _exact_image_objective(
+    xis: np.ndarray, etas: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """||I - u|| for each parameter row, u = (stabilizer element) (xi -> eta) of its trial."""
+    stabilizer = _stabilizer(etas)
+    bases = np.stack([two_plane_unitary(xi, eta) for xi, eta in zip(xis, etas)])
+    eye = np.eye(xis.shape[1], dtype=np.complex128)
+
+    def objective(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
+        return operator_norms(eye - stabilizer(x, trial) @ bases[trial])
 
     return objective
 
 
-def _state_objective(xi: np.ndarray, eta: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _state_objective(
+    xis: np.ndarray, etas: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """||I - u|| for each parameter row, u = (stabilizer element) (xi -> e^{i x_0} eta).
 
-    Column 0 is the phase on the image line, the rest the stabilizer
-    generator.  A poll moves the phase only along +/-e_0, so it holds at
-    most three distinct phases and builds one carrier for each.
+    xi, eta and the stabilizer are those of the row's trial.  Column 0 is
+    the phase on the image line, the rest the stabilizer generator.  A
+    poll moves the phase only along +/-e_0, so it holds at most three
+    distinct phases per trial; one carrier is built for each (trial,
+    phase), and the carriers of one call are kept for the next, whose poll
+    mostly repeats them.
     """
-    stabilizer = _stabilizer(eta)
-    eye = np.eye(xi.shape[0], dtype=np.complex128)
+    stabilizer = _stabilizer(etas)
+    eye = np.eye(xis.shape[1], dtype=np.complex128)
+    carriers: dict[complex, np.ndarray] = {}
 
-    def objective(x: np.ndarray) -> np.ndarray:
-        phases, which = np.unique(x[:, 0], return_inverse=True)
-        bases = np.stack([two_plane_unitary(xi, np.exp(1j * p) * eta) for p in phases])
-        return operator_norms(eye - stabilizer(x[:, 1:]) @ bases[which])
+    def objective(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
+        nonlocal carriers
+        # trial + i phase is exact and sorts by trial, then phase
+        keys, which = np.unique(trial + 1j * x[:, 0], return_inverse=True)
+        carriers = {
+            key: carriers[key] if key in carriers
+            else two_plane_unitary(xis[int(key.real)], np.exp(1j * key.imag) * etas[int(key.real)])
+            for key in keys.tolist()
+        }
+        bases = np.stack(list(carriers.values()))
+        return operator_norms(eye - stabilizer(x[:, 1:], trial) @ bases[which])
 
     return objective
 
 
-def min_distance_bruteforce(xi, eta, budget: int = 10_000, seed: int = 0) -> SearchResult:
-    """Search minimum of ||I - u|| over unitaries with u xi = eta exactly.
+def min_distance_searches(xis, etas, budget: int, seeds: Sequence[int]) -> list[SearchResult]:
+    """Search minimum of ||I - u|| over unitaries with u xi = eta exactly, for each pair.
 
     Every such unitary factors as (rotation carrying xi to eta) followed by
     an element of the stabilizer of eta, so the search runs over the
     stabilizer: exp of a Hermitian generator on the orthogonal complement
-    of eta.  Seeded random restarts feed a deterministic compass search.
-    The result can never fall below ||xi - eta||, which the closed form
+    of eta.  Seeded random restarts feed a deterministic compass search;
+    pair k's restarts draw from `seeds[k]` and spend its own `budget`.
+    A result can never fall below ||xi - eta||, which the closed form
     equals when <xi|eta> >= 0.
     """
-    xi, eta = _check_oracle_inputs(xi, eta, budget)
-    k = xi.shape[0] - 1
-    return _search_minimum(_exact_image_objective(xi, eta), k * k, budget, seed)
+    return _searches(_exact_image_objective, 0, xis, etas, budget, seeds)
 
 
-def state_min_distance_bruteforce(
-    xi, eta, budget: int = 10_000, seed: int = 0
-) -> SearchResult:
-    """Search minimum of ||I - u|| over unitaries with u xi = (phase) eta.
+def state_min_distance_searches(xis, etas, budget: int, seeds: Sequence[int]) -> list[SearchResult]:
+    """Search minimum of ||I - u|| over unitaries with u xi = (phase) eta, for each pair.
 
     The constraint is equality of the induced vector states, not of the
     vectors, so one extra search parameter carries the free phase on the
     image line; the rest of the parametrization is the stabilizer, exactly
     as in the exact-image oracle.
     """
-    xi, eta = _check_oracle_inputs(xi, eta, budget)
-    k = xi.shape[0] - 1
-    return _search_minimum(_state_objective(xi, eta), 1 + k * k, budget, seed)
+    return _searches(_state_objective, 1, xis, etas, budget, seeds)
+
+
+def min_distance_bruteforce(xi, eta, budget: int = 10_000, seed: int = 0) -> SearchResult:
+    """`min_distance_searches` on the single pair (xi, eta)."""
+    return min_distance_searches([xi], [eta], budget, [seed])[0]
+
+
+def state_min_distance_bruteforce(
+    xi, eta, budget: int = 10_000, seed: int = 0
+) -> SearchResult:
+    """`state_min_distance_searches` on the single pair (xi, eta)."""
+    return state_min_distance_searches([xi], [eta], budget, [seed])[0]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CONTRACTION_SLACK, MAX_DIM, WITNESS_STRICTNESS
+from .config import CONTRACTION_SLACK, MAX_DIM, WITNESS_STRICTNESS, block_rows
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -45,9 +45,6 @@ from .states import VectorState, pullback, state_distance
 # 128 MB of complex128 elements: 2,000,000 unitaries at dim 2
 _NET_BYTES_CAP = 128_000_000
 _CHUNK = 8192
-# one working array of a chunked kernel: a drawn block of unitaries, or a
-# float (elements x probes) block of the nearest-element scan
-_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -118,18 +115,13 @@ def _check_net_size(dim: int, elements: int, what: str) -> None:
         )
 
 
-def _rows(row_bytes: int) -> int:
-    """Rows of `row_bytes` bytes that fit one working block, at least one."""
-    return max(1, _BLOCK_BYTES // row_bytes)
-
-
 def _haar_blocks(dim: int, rng: np.random.Generator, count: int):
     """`count` Haar unitaries as (offset, block) pairs within the block budget.
 
     `haar_unitary` reads its stream in order, so the blocks are those of a
     single draw, without its transient memory of about 5x the stack.
     """
-    step = _rows(16 * dim * dim)
+    step = block_rows(16 * dim * dim)
     for lo in range(0, count, step):
         yield lo, haar_unitary(dim, rng, count=min(step, count - lo))
 
@@ -236,8 +228,8 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     # 64 d^2 eps times the largest such column norms covers both.
     slack = 64.0 * d * d * np.finfo(np.float64).eps
     chunk = min(n, _CHUNK)
-    step = _rows(8 * chunk)
-    pairs = _rows(16 * d * d)
+    step = block_rows(8 * chunk)
+    pairs = block_rows(16 * d * d)
     for plo in range(0, count, step):
         u = probes[plo : plo + step]
         u_cols, u_sq = _columns(u)

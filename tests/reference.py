@@ -3,20 +3,23 @@
 Dense or scalar constructions the package itself never needs: rank-one
 projectors and parametrized rotations to build expected values from, the
 test-set gap sup_a |phi(a) - psi(u a u*)| the witness search is checked
-against, the writer of the angle-file format the package reads, and the
-level-to-dimension map.  Each keeps the validation it had in the package.
+against, the writer of the angle-file format the package reads, the
+level-to-dimension map, and the sequential per-pair compass search the
+lockstep oracle search is checked against.  Each keeps the validation it
+had in the package.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from carlab.config import CONTRACTION_SLACK
 from carlab.errors import DomainError, InvalidInputError
 from carlab.linalg import as_square_matrix, as_unit_vector, operator_norm
+from carlab.orbit import _MAX_RESTARTS, _STEP_INIT, _STEP_MIN, SearchResult
 from carlab.sequences import validate_angles
 from carlab.states import VectorState
 from carlab.truncation import check_level
@@ -75,3 +78,75 @@ def write_angle_file(path, values) -> None:
 def level_dim(n: int) -> int:
     """Dimension 2^n of the level-n truncation."""
     return 1 << check_level(n)
+
+
+def _pattern_search(
+    f: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    f0: float,
+    budget: int,
+) -> tuple[float, int, float]:
+    """Compass search with a complete poll and a halving step schedule.
+
+    Each iteration evaluates all 2P moves x +/- step e_i, ordered +e_0,
+    -e_0, +e_1, ..., as one (2P, P) stack; it moves to the best poll point
+    if that improves on fx and halves the step otherwise (Kolda, Lewis &
+    Torczon, SIAM Review 45, 2003).  A poll is cut to its first moves when
+    the budget runs short.  Returns the best value, the evaluations used
+    and the final step.
+    """
+    n = x0.size
+    moves = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+    x, fx = x0, f0
+    evals = 0
+    step = _STEP_INIT
+    while step >= _STEP_MIN and evals < budget:
+        poll = x + step * moves[: budget - evals]
+        fy = f(poll)
+        evals += poll.shape[0]
+        best = int(np.argmin(fy))
+        if fy[best] < fx:
+            x, fx = poll[best], float(fy[best])
+        elif evals < budget:
+            step *= 0.5
+    return fx, evals, step
+
+
+def search_minimum(
+    objective: Callable[[np.ndarray], np.ndarray],
+    n_params: int,
+    budget: int,
+    seed: int,
+) -> SearchResult:
+    """Identity start plus seeded random restarts, run in turn on one budget.
+
+    The sequential search of one pair, one stacked objective call per poll,
+    that the lockstep search of many pairs must reproduce field by field.
+    """
+    rng = np.random.default_rng(seed)
+    used = 0
+    best = np.inf
+    step = best_step = _STEP_INIT
+    converged = 0
+    for restart in range(_MAX_RESTARTS):
+        if restart == 0:
+            x0 = np.zeros(n_params)
+        else:
+            x0 = rng.normal(scale=1.0, size=n_params)
+        if used >= budget:
+            break
+        f0 = float(objective(x0[None])[0])
+        used += 1
+        fx, evals, step = _pattern_search(objective, x0, f0, budget - used)
+        used += evals
+        converged += step < _STEP_MIN
+        if fx < best:
+            best, best_step = fx, step
+    return SearchResult(
+        distance=best,
+        evals_used=used,
+        final_step=step,
+        budget_exhausted=used >= budget,
+        converged_restarts=converged,
+        best_step=best_step,
+    )

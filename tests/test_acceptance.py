@@ -209,7 +209,7 @@ def test_criterion_08_witness_completeness():
             result = witness_search(phi, psi, net, tests)
             found_all &= result is not None and result.gap < 1.0
 
-    worst_ratio = 0.0
+    worst_ratio = -np.inf
     rng = np.random.default_rng(81)
     for delta in (0.1, 0.25, 0.49):
         for dim in (2, 4):

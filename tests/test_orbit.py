@@ -1,10 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab import linalg, orbit
+from carlab import cli, config, linalg, orbit
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
+from reference import search_minimum
 
 
 def _aligned_pair(dim, rng):
@@ -185,8 +189,8 @@ def _scalar_objective(xi, eta, x, state):
 @pytest.mark.parametrize("state", [False, True])
 def test_batched_objective_equals_scalar_composition(dim, state):
     rng = np.random.default_rng(60 + dim)
-    xi = linalg.random_unit_vector(dim, rng)
-    eta = linalg.random_unit_vector(dim, rng)
+    xis = np.stack([linalg.random_unit_vector(dim, rng) for _ in range(3)])
+    etas = np.stack([linalg.random_unit_vector(dim, rng) for _ in range(3)])
     build = orbit._state_objective if state else orbit._exact_image_objective
     n = (dim - 1) ** 2 + state
     x = rng.normal(size=n)
@@ -195,10 +199,14 @@ def test_batched_objective_equals_scalar_composition(dim, state):
     stack = np.concatenate([x + 0.25 * moves, rng.normal(size=(7, n))])
     if state:
         stack[-7:-3, 0] = stack[0, 0]
-    got = build(xi, eta)(stack)
-    assert got.shape == (stack.shape[0],)
-    want = [_scalar_objective(xi, eta, row, state) for row in stack]
-    assert np.max(np.abs(got - want)) <= 1e-14
+    # the rows belong to the three trials in turn, so every trial sees every phase
+    trial = np.arange(stack.shape[0]) % 3
+    objective = build(xis, etas)
+    for _ in range(2):  # the second call reuses the first one's state carriers
+        got = objective(stack, trial)
+        assert got.shape == (stack.shape[0],)
+        want = [_scalar_objective(xis[k], etas[k], row, state) for row, k in zip(stack, trial)]
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @settings(deadline=None, max_examples=20)
@@ -226,14 +234,91 @@ def test_pattern_search_minimizes_separable_quadratic():
     center = np.array([0.3, -1.7, 2.05, 0.0123])
     weight = np.array([1.0, 3.0, 0.5, 2.0])
 
-    def f(x):
+    def f(x, trial):
         return np.sum(weight * (x - center) ** 2, axis=-1)
 
-    x0 = np.zeros(4)
-    fx, evals, step = orbit._pattern_search(f, x0, float(f(x0)), budget=100_000)
-    assert step < orbit._STEP_MIN and evals < 100_000
+    (result,) = orbit._lockstep_search(f, 4, budget=100_000, seeds=[0])
+    assert result.final_step < orbit._STEP_MIN and result.evals_used < 100_000
     # a failed poll at step s leaves each coordinate within s/2 of the center
-    assert fx <= np.sum(weight) * orbit._STEP_MIN**2
+    assert result.distance <= np.sum(weight) * orbit._STEP_MIN**2
+
+
+def _pairs(dim, count, rng):
+    pairs = [_aligned_pair(dim, rng) for _ in range(count)]
+    return [xi for xi, _ in pairs], [eta for _, eta in pairs]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    dim=st.sampled_from([2, 3, 4]),
+    state=st.booleans(),
+    trials=st.integers(1, 6),
+    budget=st.integers(1000, 2500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_searches_equal_sequential_reference(dim, state, trials, budget, seed):
+    # at dims 3 and 4 most searches at these budgets end in a poll cut to
+    # the budget left, so cut polls are compared too
+    rng = np.random.default_rng(seed)
+    xis, etas = _pairs(dim, trials, rng)
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=trials)]
+    searches = orbit.state_min_distance_searches if state else orbit.min_distance_searches
+    build = orbit._state_objective if state else orbit._exact_image_objective
+    results = searches(xis, etas, budget, seeds)
+    assert len(results) == trials
+    for xi, eta, pair_seed, result in zip(xis, etas, seeds, results):
+        objective = build(xi[None], eta[None])
+        want = search_minimum(
+            lambda x: objective(x, np.zeros(len(x), dtype=np.int64)),
+            (dim - 1) ** 2 + state,
+            budget,
+            pair_seed,
+        )
+        # equal floats, counts and flags field by field
+        assert result == want
+
+
+@pytest.mark.parametrize("state", [False, True])
+def test_blocks_of_trials_leave_results_unchanged(state):
+    rng = np.random.default_rng(62)
+    xis, etas = _pairs(3, 7, rng)
+    seeds = list(range(7))
+    searches = orbit.state_min_distance_searches if state else orbit.min_distance_searches
+    whole = searches(xis, etas, 1200, seeds)
+    # a cap below one trial's poll runs every trial in a block of its own; one
+    # of three state-mode polls (2 * 5 rows of 3 x 3 complex matrices) gives
+    # blocks of 3, 3 and 1 trials in both modes
+    with mock.patch.object(config, "BLOCK_BYTES", 1):
+        assert searches(xis, etas, 1200, seeds) == whole
+    with mock.patch.object(config, "BLOCK_BYTES", 3 * 2 * 5 * 16 * 9):
+        assert searches(xis, etas, 1200, seeds) == whole
+
+
+def test_min_distance_working_memory_is_bounded(tmp_path):
+    # the trials' stacked polls run in blocks of at most BLOCK_BYTES of
+    # d x d matrices, so the transient memory does not grow with the trials
+    cap = 1 << 16
+    argv = ["min-distance", "--dim", "4", "--trials", "200", "--budget", "1000",
+            "--seed", "3", "--out-dir", str(tmp_path)]
+    with mock.patch.object(config, "BLOCK_BYTES", cap):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 16 * cap + 200 * 4096
+
+
+def test_searches_reject_malformed_batches():
+    xi = np.array([1.0, 0.0])
+    wide = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(InvalidInputError):
+        orbit.min_distance_searches([], [], 1000, [])
+    with pytest.raises(InvalidInputError):
+        orbit.min_distance_searches([xi, xi], [xi, xi], 1000, [0])
+    with pytest.raises(InvalidInputError):
+        orbit.state_min_distance_searches([xi, wide], [xi, wide], 1000, [0, 1])
 
 
 @pytest.mark.parametrize("state", [False, True])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlab import linalg, witness
+from carlab import config, linalg, witness
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
 from carlab.states import VectorState, pullback
 from reference import projector, rotation_unitary, sup_gap
@@ -123,7 +123,7 @@ def _assert_nearest_matches_reference(elements, probes):
     probes=st.sampled_from(["independent", "members", "scaled"]),
     ties=st.booleans(),
     chunk=st.sampled_from([5, 32, witness._CHUNK]),
-    block_bytes=st.sampled_from([64, witness._BLOCK_BYTES]),
+    block_bytes=st.sampled_from([64, config.BLOCK_BYTES]),
 )
 def test_nearest_equals_full_scan(dim, size, seed, probes, ties, chunk, block_bytes):
     rng = np.random.default_rng(seed)
@@ -140,7 +140,7 @@ def test_nearest_equals_full_scan(dim, size, seed, probes, ties, chunk, block_by
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(9, 1, 1))
         u = scales * linalg.haar_unitary(dim, rng, count=9)
     with mock.patch.object(witness, "_CHUNK", chunk), \
-            mock.patch.object(witness, "_BLOCK_BYTES", block_bytes):
+            mock.patch.object(config, "BLOCK_BYTES", block_bytes):
         _assert_nearest_matches_reference(elements, u)
 
 
@@ -168,7 +168,7 @@ def _density_reference(net, probes, seed):
 def test_density_report_equals_per_probe_scan(dim, size):
     net = witness.random_net(dim, 0.4, size=size, seed=3)
     dists = _density_reference(net, 50, seed=4)
-    with mock.patch.object(witness, "_BLOCK_BYTES", 4096):
+    with mock.patch.object(config, "BLOCK_BYTES", 4096):
         report = witness.net_density_report(net, probes=50, seed=4)
     assert report.max_distance == dists.max()
     assert report.mean_distance == dists.mean()
@@ -185,7 +185,7 @@ def test_density_report_working_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * witness._BLOCK_BYTES + 30_000 * 8
+    assert peak <= 12 * config.BLOCK_BYTES + 30_000 * 8
 
 
 def test_exhaustive_net_statistical_density():
@@ -212,9 +212,9 @@ def _random_net_reference(dim, size, seed):
 
 
 @pytest.mark.parametrize("dim, size", [(2, 5000), (4, 3000)])
-@pytest.mark.parametrize("block_bytes", [1 << 12, witness._BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1 << 12, config.BLOCK_BYTES])
 def test_random_net_drawn_in_blocks_is_byte_identical(dim, size, block_bytes):
-    with mock.patch.object(witness, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(config, "BLOCK_BYTES", block_bytes):
         net = witness.random_net(dim, 0.4, size=size, seed=7)
     assert net.elements.tobytes() == _random_net_reference(dim, size, 7).tobytes()
 
@@ -228,7 +228,7 @@ def test_random_net_transient_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= net.elements.nbytes + 8 * witness._BLOCK_BYTES
+    assert peak <= net.elements.nbytes + 8 * config.BLOCK_BYTES
 
 
 def test_net_resolution_validation():
