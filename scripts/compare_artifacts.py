@@ -3,11 +3,12 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 22 invocations (the seven README commands, the ten
+Runs a fixed list of 23 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
-runs, `min-distance` at dims 3 and 4 with seed 7, and the dim-16
-exhaustive-net refusal), each with `--out json` and `--out csv`, as
-`python -m carlab.cli` under each tree's `src` with one BLAS thread.
+runs, `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
+`fsigma-search`, and the dim-16 exhaustive-net refusal), each with
+`--out json` and `--out csv`, as `python -m carlab.cli` under each
+tree's `src` with one BLAS thread.
 For every run it prints whether the exit codes, stderr and stdout (up to
 the output path) are equal, and whether the artifacts are
 byte-identical.  When they are not, it prints, per config key, summary
@@ -55,6 +56,8 @@ INVOCATIONS = [
     " --phase-policy eigenvalue-one",
     "min-distance --dim 3 --trials 20 --seed 7",
     "min-distance --dim 4 --trials 20 --seed 7",
+    "fsigma-search --dim 8 --net random --net-size 2000 --pairs 10 --epsilon 0.4"
+    " --density-check --density-probes 20 --seed 1",
     "fsigma-search --dim 16 --net exhaustive --pairs 1",
 ]
 

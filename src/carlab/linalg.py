@@ -176,7 +176,11 @@ def two_plane_unitary(xi, eta) -> np.ndarray:
     line C*xi and identity elsewhere (the continuous limit of the generic
     construction).
     """
-    xi, eta = unit_vector_pair(xi, eta)
+    return _two_plane_unitary(*unit_vector_pair(xi, eta))
+
+
+def _two_plane_unitary(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """`two_plane_unitary` of two complex128 unit vectors already checked."""
     d = xi.shape[0]
     c = np.vdot(xi, eta)
     resid = eta - c * xi

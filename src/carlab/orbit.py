@@ -24,10 +24,10 @@ import numpy as np
 from .config import MAX_DIM, block_rows
 from .errors import DomainError, InvalidInputError, SizeLimitError
 from .linalg import (
+    _two_plane_unitary,
     expi_hermitian,
     hermitian_from_params,
     operator_norms,
-    two_plane_unitary,
     unit_vector_pair,
 )
 
@@ -267,9 +267,13 @@ def _searches(build, extra_params: int, xis, etas, budget: int, seeds) -> list[S
 def _exact_image_objective(
     xis: np.ndarray, etas: np.ndarray
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """||I - u|| for each parameter row, u = (stabilizer element) (xi -> eta) of its trial."""
+    """||I - u|| for each parameter row, u = (stabilizer element) (xi -> eta) of its trial.
+
+    xis and etas come checked from `_check_oracle_inputs`, so the carriers
+    are built by the unchecked kernel.
+    """
     stabilizer = _stabilizer(etas)
-    bases = np.stack([two_plane_unitary(xi, eta) for xi, eta in zip(xis, etas)])
+    bases = np.stack([_two_plane_unitary(xi, eta) for xi, eta in zip(xis, etas)])
     eye = np.eye(xis.shape[1], dtype=np.complex128)
 
     def objective(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
@@ -288,7 +292,8 @@ def _state_objective(
     poll moves the phase only along +/-e_0, so it holds at most three
     distinct phases per trial; one carrier is built for each (trial,
     phase), and the carriers of one call are kept for the next, whose poll
-    mostly repeats them.
+    mostly repeats them.  Each carrier maps a checked xi to a checked eta
+    times a unit phase, so the unchecked kernel builds it.
     """
     stabilizer = _stabilizer(etas)
     eye = np.eye(xis.shape[1], dtype=np.complex128)
@@ -300,7 +305,7 @@ def _state_objective(
         keys, which = np.unique(trial + 1j * x[:, 0], return_inverse=True)
         carriers = {
             key: carriers[key] if key in carriers
-            else two_plane_unitary(xis[int(key.real)], np.exp(1j * key.imag) * etas[int(key.real)])
+            else _two_plane_unitary(xis[int(key.real)], np.exp(1j * key.imag) * etas[int(key.real)])
             for key in keys.tolist()
         }
         bases = np.stack(list(carriers.values()))

@@ -4,8 +4,9 @@ Dense or scalar constructions the package itself never needs: rank-one
 projectors and parametrized rotations to build expected values from, the
 test-set gap sup_a |phi(a) - psi(u a u*)| the witness search is checked
 against, the writer of the angle-file format the package reads, the
-level-to-dimension map, and the sequential per-pair compass search the
-lockstep oracle search is checked against.  Each keeps the validation it
+level-to-dimension map, the sequential per-pair compass search the
+lockstep oracle search is checked against, and the whole-chunk witness
+scan the growing-block scan is checked against.  Each keeps the validation it
 had in the package.
 """
 
@@ -16,13 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from carlab.config import CONTRACTION_SLACK
+from carlab.config import CONTRACTION_SLACK, WITNESS_STRICTNESS
 from carlab.errors import DomainError, InvalidInputError
 from carlab.linalg import as_square_matrix, as_unit_vector, operator_norm
 from carlab.orbit import _MAX_RESTARTS, _STEP_INIT, _STEP_MIN, SearchResult
 from carlab.sequences import validate_angles
 from carlab.states import VectorState
 from carlab.truncation import check_level
+from carlab.witness import _CHUNK, TestElementNet, UnitaryNet, WitnessResult
 
 
 def projector(v) -> np.ndarray:
@@ -150,3 +152,39 @@ def search_minimum(
         converged_restarts=converged,
         best_step=best_step,
     )
+
+
+def witness_search_by_chunks(
+    phi: VectorState,
+    psi: VectorState,
+    net: UnitaryNet,
+    test_net: TestElementNet,
+) -> WitnessResult | None:
+    """First enumerated u with max_a |phi(a) - psi(u a u*)| < 1, if any.
+
+    The scan computes the gap of every row of a whole `_CHUNK`-row chunk
+    before it looks for the first hit, which is what the package's
+    growing-block scan must reproduce, index and gap bit for bit.
+    """
+    if phi.dim != psi.dim or phi.dim != net.dim or net.dim != test_net.dim:
+        raise InvalidInputError("state, net, and test-net dimensions must agree")
+    threshold = 1.0 - WITNESS_STRICTNESS
+    # a state's value on each test element a is <v v*, a>: one GEMM
+    # against the flattened test elements for a whole chunk of vectors
+    flat = np.stack(test_net.elements).reshape(len(test_net.elements), -1).T
+    phi_vals = np.outer(phi.vector.conj(), phi.vector).reshape(-1) @ flat
+    conj_psi = psi.vector.conj()
+    for lo in range(0, len(net), _CHUNK):
+        block = net.elements[lo : lo + _CHUNK]
+        # the pulled-back vectors u* psi, conjugated: psi^H u, row by row
+        conj_pulled = conj_psi @ block
+        outer = conj_pulled[:, :, None] * conj_pulled.conj()[:, None, :]
+        outer = outer.reshape(len(block), -1)
+        gaps = np.max(np.abs(outer @ flat - phi_vals), axis=1)
+        hits = np.nonzero(gaps < threshold)[0]
+        if hits.size:
+            i = lo + int(hits[0])
+            return WitnessResult(
+                index=i, unitary=net.elements[i], gap=float(gaps[hits[0]])
+            )
+    return None

@@ -10,42 +10,6 @@ from carlab.errors import DomainError, InvalidInputError
 from reference import projector, rotation_unitary
 
 
-def test_kron_identity():
-    out = np.kron(np.eye(2), np.eye(2))
-    np.testing.assert_allclose(out, np.eye(4))
-
-
-def test_kron_rank_one_projection():
-    e11 = np.zeros((2, 2), dtype=complex)
-    e11[0, 0] = 1.0
-    out = np.kron(e11, e11)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = 1.0
-    np.testing.assert_allclose(out, expected)
-
-
-def test_kron_acts_factorwise():
-    rng = np.random.default_rng(10)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    x = rng.normal(size=2) + 1j * rng.normal(size=2)
-    y = rng.normal(size=2) + 1j * rng.normal(size=2)
-    lhs = np.kron(a, b) @ np.kron(x, y)
-    rhs = np.kron(a @ x, b @ y)
-    assert np.linalg.norm(lhs - rhs) <= 1e-12
-
-
-@settings(deadline=None, max_examples=50)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_kron_associative(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    left = np.kron(np.kron(a, b), c)
-    right = np.kron(a, np.kron(b, c))
-    # same index reshuffling; only the multiplication order differs
-    assert np.max(np.abs(left - right)) <= 1e-14
-
-
 def test_operator_norm_basics():
     assert linalg.operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
     assert linalg.operator_norm(np.diag([0.0, 2.0])) == pytest.approx(2.0, abs=1e-14)

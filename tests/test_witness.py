@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from carlab import config, linalg, witness
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
 from carlab.states import VectorState, pullback
-from reference import projector, rotation_unitary, sup_gap
+from reference import projector, rotation_unitary, sup_gap, witness_search_by_chunks
 
 
 def test_exhaustive_net_dim1_is_phase_circle():
@@ -309,6 +309,93 @@ def test_witness_search_equals_einsum_scan(dim):
         assert result is not None and expected is not None
         assert result.index == expected[0]
         assert abs(result.gap - expected[1]) <= 1e-14
+
+
+def _net_with_one_witness(dim, size, k, seed, vary_bad=False):
+    """States phi = e_0 and psi near it, and a net whose only witness is I at k.
+
+    Every other element u sends psi to a vector orthogonal to phi, so the
+    matrix unit E_00 alone gives it gap 1; `vary_bad` right-multiplies
+    each by its own unitary fixing e_0, which keeps that gap.  k = None
+    puts no witness in the net.
+    """
+    rng = np.random.default_rng(seed)
+    phi = np.eye(dim, dtype=np.complex128)[0]
+    psi = phi + 0.1 * linalg.random_unit_vector(dim, rng)
+    psi /= np.linalg.norm(psi)
+    bad = linalg.two_plane_unitary(psi, np.eye(dim)[1]).conj().T
+    elements = np.repeat(bad[None], size, axis=0)
+    if vary_bad:
+        elements[:, :, 1:] = elements[:, :, 1:] @ linalg.haar_unitary(dim - 1, rng, count=size)
+    if k is not None:
+        elements[k] = np.eye(dim)
+    net = witness.UnitaryNet(dim=dim, resolution=0.4, mode="random", elements=elements)
+    tests = witness.build_test_element_net(dim, n_random=10, seed=seed)
+    return VectorState(phi), VectorState(psi), net, tests
+
+
+def _assert_scan_matches_chunks(phi, psi, net, tests):
+    result = witness.witness_search(phi, psi, net, tests)
+    expected = witness_search_by_chunks(phi, psi, net, tests)
+    if expected is None:
+        assert result is None
+        return
+    assert result is not None
+    assert result.index == expected.index
+    assert np.array_equal(result.unitary, expected.unitary)
+    assert result.gap == expected.gap
+
+
+@pytest.mark.parametrize("k", [0, 63, 64, 65, 191, 8191, 8192, 8193, 20000])
+@pytest.mark.parametrize("extra", [1, 2, None])
+def test_growing_scan_equals_chunk_scan(k, extra):
+    # extra rows after the witness; None makes a 3-chunk net with a 1-row tail
+    size = 3 * witness._CHUNK + 1 if extra is None else k + extra
+    phi, psi, net, tests = _net_with_one_witness(2, size, k, seed=k)
+    result = witness.witness_search(phi, psi, net, tests)
+    assert result is not None and result.index == k and result.gap < 1.0
+    _assert_scan_matches_chunks(phi, psi, net, tests)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("size", [65, 129, 4097])
+def test_growing_scan_keeps_gap_of_lone_last_row(dim, size):
+    # a witness in the last row, one past a block boundary; numpy's
+    # vector-matrix product changes such a gap in the last bit for about
+    # a third of these states
+    for seed in range(12):
+        _assert_scan_matches_chunks(*_net_with_one_witness(dim, size, size - 1, seed))
+
+
+def test_growing_scan_without_witness_returns_none():
+    phi, psi, net, tests = _net_with_one_witness(2, 20_001, None, seed=3)
+    assert witness.witness_search(phi, psi, net, tests) is None
+    _assert_scan_matches_chunks(phi, psi, net, tests)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    dim=st.sampled_from([2, 4]),
+    k=st.integers(0, 20_000),
+    extra=st.integers(1, 9000),
+    seed=st.integers(0, 2**16),
+)
+def test_growing_scan_equals_chunk_scan_random(dim, k, extra, seed):
+    phi, psi, net, tests = _net_with_one_witness(dim, k + extra, k, seed, vary_bad=True)
+    _assert_scan_matches_chunks(phi, psi, net, tests)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 4097, 8191, 8192, 8193, 8194, 16385, 30000])
+def test_scan_blocks_grow_and_keep_one_row_blocks_where_chunks_have_them(n):
+    blocks = list(witness._scan_blocks(n))
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    assert blocks[0][1] <= witness._FIRST_BLOCK
+    chunks = -(-n // witness._CHUNK)
+    assert len(blocks) <= chunks + 7
+    lone = {lo for lo, hi in blocks if hi - lo == 1}
+    chunk_lone = {lo for lo in range(0, n, witness._CHUNK) if min(n, lo + witness._CHUNK) - lo == 1}
+    assert lone == chunk_lone
 
 
 def test_witness_gap_tracks_state_distance_when_identity_probe():
