@@ -7,11 +7,12 @@ induced vector states, which frees a global phase on the image.  The gap
 between the modes is precisely where the question about the product-state
 constant lives, so neither is allowed to borrow the other's answer.
 Both oracles run the same compass search on many pairs at once.  Trials
-run in lockstep: each iteration evaluates the start point or poll of
-every live trial as one stacked call through the batched `linalg` layer,
-while each trial's restarts stay sequential on its own budget, so a
-trial's result does not depend on the others.  The single-pair oracles
-are the one-trial case.
+run in lockstep: each iteration evaluates the poll of every trial, and
+the start point of each trial whose fx is still inf, as one stacked call
+through the batched `linalg` layer, while each trial's restarts stay
+sequential on its own budget, so a trial's result does not depend on the
+others.  A finished trial keeps its slot with no budget left and adds no
+rows.  The single-pair oracles are the one-trial case.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _stabilizer(etas: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     exp(iH) on the complement.
     """
     d = etas.shape[1]
-    q = np.stack([np.linalg.qr(eta.reshape(d, 1), mode="complete")[0][:, 1:] for eta in etas])
+    q = np.linalg.qr(etas[:, :, None], mode="complete")[0][:, :, 1:]
     qh = q.conj().transpose(0, 2, 1)
     proj = etas[:, :, None] * etas.conj()[:, None, :]
 
@@ -96,75 +97,6 @@ def _stabilizer(etas: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarr
         return proj[trial] + q[trial] @ w @ qh[trial]
 
     return elements
-
-
-class _Trials:
-    """The live trials of a lockstep compass search, one array entry each.
-
-    A trial is `starting` in the first iteration of each restart, which
-    evaluates the start point along with the first poll around it.  A
-    trial whose last restart has ended leaves the arrays; its result is
-    then in `results`, at its index in the seed list.
-    """
-
-    _ARRAYS = (
-        "ids", "x", "fx", "step", "used", "restart", "starting", "best", "best_step", "converged",
-    )
-
-    def __init__(self, n_params: int, budget: int, seeds: Sequence[int]):
-        n = len(seeds)
-        self.budget = budget
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        self.results: list[SearchResult | None] = [None] * n
-        self.ids = np.arange(n)
-        self.x = np.zeros((n, n_params))
-        self.fx = np.full(n, np.inf)
-        self.step = np.full(n, _STEP_INIT)
-        self.used = np.zeros(n, dtype=np.int64)
-        self.restart = np.zeros(n, dtype=np.int64)
-        self.starting = np.ones(n, dtype=bool)
-        self.best = np.full(n, np.inf)
-        self.best_step = np.full(n, _STEP_INIT)
-        self.converged = np.zeros(n, dtype=np.int64)
-
-    def end_restarts(self, ended: np.ndarray) -> None:
-        """Score the restarts that just ended and begin each trial's next one.
-
-        Restart r > 0 starts from the trial's r-th normal draw, as long as
-        the trial has budget left for it; a trial without one is done.
-        """
-        step = self.step[ended]
-        self.converged[ended] += step < _STEP_MIN
-        better = self.fx[ended] < self.best[ended]
-        self.best[ended[better]] = self.fx[ended[better]]
-        self.best_step[ended[better]] = step[better]
-        self.restart[ended] += 1
-        done = []
-        for k in ended:
-            if self.restart[k] == _MAX_RESTARTS or self.used[k] >= self.budget:
-                done.append(k)
-                continue
-            self.x[k] = self.rngs[self.ids[k]].normal(scale=1.0, size=self.x.shape[1])
-            self.step[k] = _STEP_INIT
-            self.starting[k] = True
-        if done:
-            self._retire(done)
-
-    def _retire(self, done: list[int]) -> None:
-        """Record the results of finished trials and drop them from the arrays."""
-        for k in done:
-            self.results[self.ids[k]] = SearchResult(
-                distance=float(self.best[k]),
-                evals_used=int(self.used[k]),
-                final_step=float(self.step[k]),
-                budget_exhausted=bool(self.used[k] >= self.budget),
-                converged_restarts=int(self.converged[k]),
-                best_step=float(self.best_step[k]),
-            )
-        live = np.ones(self.ids.size, dtype=bool)
-        live[done] = False
-        for name in self._ARRAYS:
-            setattr(self, name, getattr(self, name)[live])
 
 
 def _lockstep_search(
@@ -183,50 +115,76 @@ def _lockstep_search(
     the step otherwise (Kolda, Lewis & Torczon, SIAM Review 45, 2003).  A
     poll is cut to its first moves when the budget runs short.
 
-    Each iteration stacks the rows of every live trial into one
+    Each iteration stacks the rows of every trial into one
     `objective(x, trial)` call whose `trial` column names the trial of each
-    row.  Trials are independent and a row's value does not depend on the
-    rest of the stack, so each result is the one its trial gets alone.
+    row.  fx = inf marks a start point not yet evaluated; that iteration
+    evaluates it along with the first poll around it.  A finished trial
+    keeps its slot with no budget left, so it adds no rows.  Trials are
+    independent and a row's value does not depend on the rest of the
+    stack, so each result is the one its trial gets alone.
     """
-    p = n_params
-    # move 0 stays put: a restart's first iteration also evaluates its start
+    p, n = n_params, len(seeds)
+    # move 0 stays put: it evaluates a pending start point
     compass = np.stack([np.eye(p), -np.eye(p)], axis=1).reshape(2 * p, p)
     moves = np.concatenate([np.zeros((1, p)), compass])
     cols = np.arange(2 * p + 1)
-    t = _Trials(p, budget, seeds)
-    while t.ids.size:
-        n = t.ids.size
-        cand = t.x[:, None, :] + t.step[:, None, None] * moves
-        room = budget - t.used
-        if t.starting.any() or room.min() < 2 * p:
-            # a trial's columns lo..lo+room-1: its start point while
-            # starting, then its poll, cut to the budget left
-            lo = ~t.starting
-            keep = (cols >= lo[:, None]) & (cols < (room + lo)[:, None])
-            trial, move = np.nonzero(keep)
-            fy = np.full(keep.shape, np.inf)
-            fy[trial, move] = objective(cand[trial, move], t.ids[trial])
-            t.used += keep.sum(axis=1)
-            np.copyto(t.fx, fy[:, 0], where=t.starting)
-            t.starting[:] = False
-            fpoll = fy[:, 1:]
-        else:
-            # every trial polls all 2P moves
-            rows = cand[:, 1:].reshape(-1, p)
-            fpoll = objective(rows, np.repeat(t.ids, 2 * p)).reshape(n, 2 * p)
-            t.used += 2 * p
-        every = np.arange(n)
-        best = fpoll.argmin(axis=1)
-        fb = fpoll[every, best]
-        better = fb < t.fx
-        t.x = np.where(better[:, None], cand[every, best + 1], t.x)
-        t.fx = np.where(better, fb, t.fx)
-        spent = t.used >= budget
-        t.step = np.where(better | spent, t.step, 0.5 * t.step)
-        ended = np.flatnonzero((t.step < _STEP_MIN) | spent)
-        if ended.size:
-            t.end_restarts(ended)
-    return t.results
+    every = np.arange(n)
+    # state that changes every iteration
+    x = np.zeros((n, p))
+    fx = np.full(n, np.inf)
+    step = np.full(n, _STEP_INIT)
+    left = np.full(n, budget)
+    # state that changes only when a restart ends
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    restarts = [0] * n
+    best = [np.inf] * n
+    best_step = [_STEP_INIT] * n
+    converged = [0] * n
+    results: list[SearchResult] = [None] * n
+    unfinished = n
+    while unfinished:
+        cand = x[:, None, :] + step[:, None, None] * moves
+        # a trial's columns: its start point while pending, then its poll,
+        # as many as the budget left; none once it is finished
+        pending = fx == np.inf
+        keep = cols <= (left - pending)[:, None]
+        keep[:, 0] = pending
+        trial, move = np.nonzero(keep)
+        # column 0 holds fx, or the start point's value while pending, so
+        # the first least column is the poll's best strict improvement
+        fy = np.full(keep.shape, np.inf)
+        fy[:, 0] = fx
+        fy[trial, move] = objective(cand[trial, move], trial)
+        live = left > 0
+        left -= keep.sum(axis=1)
+        pick = fy.argmin(axis=1)
+        x = cand[every, pick]
+        fx = fy[every, pick]
+        spent = left <= 0
+        step = np.where((pick > 0) | spent, step, 0.5 * step)
+        for k in np.flatnonzero(live & (spent | (step < _STEP_MIN))).tolist():
+            # restart r > 0 starts from the trial's r-th normal draw, as
+            # long as the trial has budget left for it
+            converged[k] += bool(step[k] < _STEP_MIN)
+            if fx[k] < best[k]:
+                best[k], best_step[k] = float(fx[k]), float(step[k])
+            restarts[k] += 1
+            if restarts[k] < _MAX_RESTARTS and not spent[k]:
+                x[k] = rngs[k].normal(scale=1.0, size=p)
+                fx[k] = np.inf
+                step[k] = _STEP_INIT
+                continue
+            results[k] = SearchResult(
+                distance=best[k],
+                evals_used=int(budget - left[k]),
+                final_step=float(step[k]),
+                budget_exhausted=bool(spent[k]),
+                converged_restarts=converged[k],
+                best_step=best_step[k],
+            )
+            left[k] = 0
+            unfinished -= 1
+    return results
 
 
 def _check_oracle_inputs(xis, etas, budget: int, seeds) -> tuple[np.ndarray, np.ndarray]:

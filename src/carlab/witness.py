@@ -307,10 +307,10 @@ def net_density_report(net: UnitaryNet, probes: int = 100, seed: int = 0) -> Den
 
 @dataclass(frozen=True)
 class TestElementNet:
-    """Finite stand-in for a dense set of contractions."""
+    """Finite stand-in for a dense set of contractions, as a (k, d, d) stack."""
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray = field(repr=False)
 
 
 def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestElementNet:
@@ -318,18 +318,14 @@ def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestE
     if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad test-net dimension {dim}")
     rng = np.random.default_rng(seed)
-    elements = []
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=np.complex128)
-            unit[i, j] = 1.0
-            elements.append(unit)
-    for _ in range(n_random):
-        elements.append(random_hermitian_contraction(dim, rng))
+    # unit (i, j) is element i * dim + j
+    units = np.eye(dim * dim, dtype=np.complex128).reshape(dim * dim, dim, dim)
+    randoms = [random_hermitian_contraction(dim, rng)[None] for _ in range(n_random)]
+    elements = np.concatenate([units, *randoms])
     for a in elements:
         if operator_norm(a) > 1.0 + CONTRACTION_SLACK:
             raise NumericalInvariantError("test element exceeds contraction norm")
-    return TestElementNet(dim=dim, elements=tuple(elements))
+    return TestElementNet(dim=dim, elements=elements)
 
 
 def _scan_blocks(n: int):
@@ -383,7 +379,7 @@ def witness_search(
     threshold = 1.0 - WITNESS_STRICTNESS
     # a state's value on each test element a is <v v*, a>: one GEMM
     # against the flattened test elements for a whole chunk of vectors
-    flat = np.stack(test_net.elements).reshape(len(test_net.elements), -1).T
+    flat = test_net.elements.reshape(len(test_net.elements), -1).T
     phi_vals = np.outer(phi.vector.conj(), phi.vector).reshape(-1) @ flat
     conj_psi = psi.vector.conj()
     for lo, hi in _scan_blocks(len(net)):

@@ -171,7 +171,7 @@ def witness_search_by_chunks(
     threshold = 1.0 - WITNESS_STRICTNESS
     # a state's value on each test element a is <v v*, a>: one GEMM
     # against the flattened test elements for a whole chunk of vectors
-    flat = np.stack(test_net.elements).reshape(len(test_net.elements), -1).T
+    flat = test_net.elements.reshape(len(test_net.elements), -1).T
     phi_vals = np.outer(phi.vector.conj(), phi.vector).reshape(-1) @ flat
     conj_psi = psi.vector.conj()
     for lo in range(0, len(net), _CHUNK):

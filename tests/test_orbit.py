@@ -243,6 +243,34 @@ def test_pattern_search_minimizes_separable_quadratic():
     assert result.distance <= np.sum(weight) * orbit._STEP_MIN**2
 
 
+def test_finished_trials_keep_their_slots_and_add_no_rows():
+    # each trial minimizes a quadratic of its own: trials 0 and 1 converge
+    # every restart and finish at different calls, with budget left, while
+    # trial 2's far center keeps it polling until the budget runs out
+    centers = np.array([[0.3, -1.7], [2.0, 0.5], [-40.0, 25.0]])
+    weights = np.array([[1.0, 3.0], [0.5, 2.0], [1.0, 1.0]])
+    seeds = [0, 1, 2]
+
+    def f(x, trial):
+        return np.sum(weights[trial] * (x - centers[trial]) ** 2, axis=-1)
+
+    rows = []
+
+    def recording(x, trial):
+        rows.append(np.bincount(trial, minlength=len(seeds)))
+        return f(x, trial)
+
+    results = orbit._lockstep_search(recording, 2, 3000, seeds)
+    for k, result in enumerate(results):
+        want = search_minimum(lambda x: f(x, np.full(len(x), k)), 2, 3000, seeds[k])
+        assert result == want
+    assert [r.budget_exhausted for r in results] == [False, False, True]
+    rows = np.array(rows)
+    assert rows.sum(axis=0).tolist() == [r.evals_used for r in results]
+    last_call = [int(np.flatnonzero(rows[:, k])[-1]) for k in range(len(seeds))]
+    assert last_call[0] < last_call[1] < last_call[2] == len(rows) - 1
+
+
 def _pairs(dim, count, rng):
     pairs = [_aligned_pair(dim, rng) for _ in range(count)]
     return [xi for xi, _ in pairs], [eta for _, eta in pairs]
@@ -276,6 +304,53 @@ def test_lockstep_searches_equal_sequential_reference(dim, state, trials, budget
         )
         # equal floats, counts and flags field by field
         assert result == want
+
+
+@pytest.mark.parametrize(
+    "dim, state, first", [(3, False, 1262), (4, False, 1497), (3, True, 1635), (4, True, 1403)]
+)
+def test_lockstep_restart_edges_equal_sequential_reference(dim, state, first):
+    # At budget `first`, trial 0's last restart starts at the last evaluation,
+    # so budgets first .. first + 2P - 1 cut its first poll after 0 .. 2P - 1
+    # moves; the other trials end elsewhere in their searches.
+    rng = np.random.default_rng(5)
+    xis, etas = _pairs(dim, 3, rng)
+    seeds = [1, 3, 2]
+    n_params = (dim - 1) ** 2 + state
+    build = orbit._state_objective if state else orbit._exact_image_objective
+
+    def reference(k, budget):
+        objective = build(xis[k][None], etas[k][None])
+        return search_minimum(
+            lambda x: objective(x, np.zeros(len(x), dtype=np.int64)), n_params, budget, seeds[k]
+        )
+
+    rows = []
+
+    def recording_build(xis, etas):
+        objective = build(xis, etas)
+
+        def recording(x, trial):
+            rows.append(np.bincount(trial, minlength=len(seeds)))
+            return objective(x, trial)
+
+        return recording
+
+    # one evaluation less ends inside an earlier restart, below the initial step
+    assert reference(0, first - 1).final_step < orbit._STEP_INIT
+    finishes = set()
+    for budget in range(first, first + 2 * n_params):
+        rows.clear()
+        results = orbit._searches(recording_build, int(state), xis, etas, budget, seeds)
+        # equal floats, counts and flags field by field
+        assert results == [reference(k, budget) for k in range(len(seeds))]
+        assert results[0].final_step == orbit._STEP_INIT and results[0].budget_exhausted
+        calls = np.array(rows)
+        # a finished trial adds no rows
+        assert calls.sum(axis=0).tolist() == [r.evals_used for r in results]
+        finishes.add(tuple(int(np.flatnonzero(calls[:, k])[-1]) for k in range(len(seeds))))
+    # at some budgets a trial stays finished in its slot while the others poll
+    assert any(len(set(last)) > 1 for last in finishes)
 
 
 @pytest.mark.parametrize("state", [False, True])

@@ -287,10 +287,9 @@ def test_witness_search_soundness_on_random_net():
 
 def _witness_reference(phi, psi, net, test_net):
     """The three-operand einsum scan that the one-GEMM scan replaces."""
-    stack = np.stack(test_net.elements)
     phi_vals = np.array([np.vdot(phi.vector, a @ phi.vector) for a in test_net.elements])
     pulled = np.einsum("nji,j->ni", net.elements.conj(), psi.vector)
-    vals = np.einsum("ni,aij,nj->na", pulled.conj(), stack, pulled)
+    vals = np.einsum("ni,aij,nj->na", pulled.conj(), test_net.elements, pulled)
     gaps = np.max(np.abs(vals - phi_vals[None, :]), axis=1)
     hits = np.nonzero(gaps < 1.0 - witness.WITNESS_STRICTNESS)[0]
     return (int(hits[0]), gaps[hits[0]]) if hits.size else None
