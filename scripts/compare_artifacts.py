@@ -3,10 +3,11 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 23 invocations (the seven README commands, the ten
+Runs a fixed list of 25 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
-`fsigma-search`, and the dim-16 exhaustive-net refusal), each with
+`fsigma-search`, the dim-16 and dim-4 exhaustive-net refusals, and a
+dim-2 exhaustive net at `--epsilon 0.2`), each with
 `--out json` and `--out csv`, as `python -m carlab.cli` under each
 tree's `src` with one BLAS thread.
 For every run it prints whether the exit codes, stderr and stdout (up to
@@ -59,6 +60,9 @@ INVOCATIONS = [
     "fsigma-search --dim 8 --net random --net-size 2000 --pairs 10 --epsilon 0.4"
     " --density-check --density-probes 20 --seed 1",
     "fsigma-search --dim 16 --net exhaustive --pairs 1",
+    "fsigma-search --dim 2 --net exhaustive --epsilon 0.2 --pairs 5 --density-check"
+    " --density-probes 20 --seed 1",
+    "fsigma-search --dim 4 --net exhaustive --pairs 1",
 ]
 
 _INT = re.compile(r"[+-]?\d+")

@@ -338,6 +338,7 @@ def run_fsigma_search(args):
         "net_mode": net.mode,
         "net_size": len(net),
         "net_resolution": net.resolution,
+        "net_covering_radius": net.covering_radius,
     }
     if args.density_check:
         report = net_density_report(net, probes=args.density_probes, seed=seeds[-1])

@@ -1,12 +1,10 @@
 """Finite unitary nets and the witness search for state equivalence.
 
-A countable dense set of unitaries is stood in for by either an
-exhaustive grid of Hermitian-generator exponentials (guaranteed dense at
-the requested resolution, feasible only in low dimension) or a seeded
-random net (density reported statistically, never promised).  The
-density report is an exact statistic: the operator-norm distance from
-each of a set of Haar-random probes, drawn independently of the net, to
-its nearest net element.
+A countable dense set of unitaries is stood in for by an exhaustive net
+of U(1) or U(2), phases times a projected cube grid on SU(2) with a
+proven covering radius, or by a seeded random net at any dimension,
+whose density is only measured: the exact operator-norm distance from
+Haar probes, drawn independently of the net, to their nearest elements.
 
 The search accepts the first enumerated unitary u whose test-set gap
 max_a |phi(a) - psi(u a u*)| stays below 1.  The maximum runs over a
@@ -33,9 +31,7 @@ from .errors import (
 )
 from .linalg import (
     as_square_matrix,
-    expi_hermitian,
     haar_unitary,
-    hermitian_from_params,
     operator_norm,
     operator_norms,
     random_hermitian_contraction,
@@ -52,42 +48,53 @@ _FIRST_BLOCK = 64
 class UnitaryNet:
     """Finite enumeration of unitaries standing in for a dense subset.
 
-    `resolution` is the covering radius the net aims at; for exhaustive
-    nets it is guaranteed by construction, for random nets it is only a
-    target to be checked statistically.
+    `resolution` is the covering radius the net aims at.  An exhaustive
+    net proves `covering_radius` <= `resolution`; a random net proves none.
     """
 
     dim: int
     resolution: float
     mode: str
     elements: np.ndarray = field(repr=False)
+    covering_radius: float | None = None
 
     def __len__(self) -> int:
         return self.elements.shape[0]
 
 
-def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int]:
-    """Grid points per real parameter and the implied net cardinality.
+def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int, float]:
+    """Cube divisions n, phases m and proven radius of the smallest exhaustive net.
 
-    Every unitary is exp(iH) with Hermitian H of operator norm at most pi,
-    hence with entries bounded by pi.  Snapping each of the dim^2 real
-    parameters to a grid of spacing delta moves H by at most
-    delta/2 * sqrt(dim (2 dim - 1)) in Frobenius norm, which dominates the
-    operator-norm change of the exponential, so delta is chosen to make
-    that at most epsilon.
+    At dim 2, u = e^{i phi} s, s = [[a + ib, c + id], [-c + id, a - ib]] in
+    SU(2) for q = (a, b, c, d) a unit quaternion, and ||s - s'|| = |q - q'|.
+    The 8 n^3 + 8 n points of spacing 2/n on the surface of [-1, 1]^4, n
+    even, projected radially to S^3, cover it within sqrt(3)/n, since the
+    projection onto the unit ball is 1-Lipschitz; m phases k pi / m add
+    2 sin(pi / 4m), as (phi, q) ~ (phi + pi, -q).  At dim 1, m phases
+    2 pi k / m cover within 2 sin(pi / 2m).  A dim-2 net has over
+    8 (sqrt(3) / epsilon)^3 elements: past the cap, no n is tried.
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError("net resolution must lie in (0, 1]")
-    delta = 2.0 * epsilon / math.sqrt(dim * (2 * dim - 1))
-    if delta * sys.float_info.max < 2.0 * math.pi:
-        # a subnormal epsilon: 2 pi / delta, one axis of the grid, overflows
-        raise SizeLimitError(
-            f"exhaustive net at dim {dim}, resolution {epsilon} needs more than "
-            f"{sys.float_info.max:.3e} grid points per parameter"
-        )
-    points = math.ceil(2.0 * math.pi / delta) + 1
-    # an exact integer: as a float the count overflows at dim 16
-    return points, points ** (dim * dim)
+    cap = _NET_BYTES_CAP // (16 * dim * dim)
+    spheres = [(0, 1, 0.0)] if dim == 1 else []
+    if dim == 2 and epsilon >= math.sqrt(3.0) * (8.0 / cap) ** (1.0 / 3.0):
+        first = 2 * math.floor(math.sqrt(3.0) / (2.0 * epsilon)) + 2
+        last = round((cap / 8.0) ** (1.0 / 3.0))
+        spheres = [(n, 8 * n**3 + 8 * n, math.sqrt(3.0) / n) for n in range(first, last + 1, 2)]
+    angle = math.pi / (2 * dim)  # m times the largest phase offset
+    plans = []
+    for n, points, radius in spheres:
+        room = math.asin((epsilon - radius) / 2.0)
+        if room * (cap // points) >= angle:  # m <= cap / points, without dividing by room
+            m = math.ceil(angle / room)
+            while radius + 2.0 * math.sin(angle / m) > epsilon:
+                m += 1
+            plans.append((points * m, n, m, radius + 2.0 * math.sin(angle / m)))
+    plans = [plan for plan in plans if plan[0] <= cap]
+    if not plans:
+        raise SizeLimitError(f"no exhaustive net at dim {dim}, resolution {epsilon} within the cap")
+    return min(plans)[1:]
 
 
 def _check_all_unitary(elements: np.ndarray) -> None:
@@ -98,22 +105,6 @@ def _check_all_unitary(elements: np.ndarray) -> None:
     worst = float(np.sqrt(np.max(np.einsum("nij,nij->n", gram.conj(), gram).real)))
     if worst > 1e-9:
         raise NumericalInvariantError(f"net element off unitarity by {worst:.3e}")
-
-
-def _check_net_size(dim: int, elements: int, what: str) -> None:
-    """Refuse a net whose element array would exceed the byte cap.
-
-    The error carries the count as `estimated_size` only when it is a
-    finite float; beyond that its message gives the log10 of the count.
-    """
-    cap = _NET_BYTES_CAP // (16 * dim * dim)
-    if elements > cap:
-        estimated = float(elements) if elements <= sys.float_info.max else None
-        size = f"{estimated:.3e}" if estimated is not None else f"10^{math.log10(elements):.1f}"
-        raise SizeLimitError(
-            f"{what} needs about {size} elements (cap {cap}, {_NET_BYTES_CAP} bytes)",
-            estimated_size=estimated,
-        )
 
 
 def _haar_blocks(dim: int, rng: np.random.Generator, count: int):
@@ -127,52 +118,55 @@ def _haar_blocks(dim: int, rng: np.random.Generator, count: int):
         yield lo, haar_unitary(dim, rng, count=min(step, count - lo))
 
 
-def _dedup(elements: np.ndarray) -> np.ndarray:
-    """First occurrence of each element, keyed by its entries rounded to 1e-9.
+def _su2_grid(n: int) -> np.ndarray:
+    """SU(2) at the grid points of spacing 2/n on the surface of [-1, 1]^4, n even.
 
-    Adding 0.0 turns -0.0 into +0.0, so a sign of zero splits no key.
+    A point lies on the face of its first coordinate of modulus 1, so it
+    occurs once: on the face of axis a, coordinates before a are interior.
+    Faces run +e_0, -e_0, +e_1, ... and coordinates from the centre out
+    (0, h, -h, 2h, ...), so the first point is e_0, the identity.
     """
-    rounded = (np.round(elements, 9) + 0.0).reshape(elements.shape[0], -1)
-    keys = rounded.view(np.dtype((np.void, rounded.itemsize * rounded.shape[1])))
-    first = np.unique(keys.ravel(), return_index=True)[1]
-    return elements[np.sort(first)]
+    ticks = np.array([0] + [s * k for k in range(1, n // 2 + 1) for s in (1, -1)]) * 2.0 / n
+    faces = [
+        np.meshgrid(*[ticks[:-2]] * axis, [sign], *[ticks] * (3 - axis), indexing="ij")
+        for axis in range(4)
+        for sign in (1.0, -1.0)
+    ]
+    q = np.concatenate([np.stack(face, axis=-1).reshape(-1, 4) for face in faces])
+    a, b, c, d = q.T / np.linalg.norm(q, axis=1)
+    return np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b], axis=1).reshape(-1, 2, 2)
 
 
 def enumerate_net(dim: int, epsilon: float) -> UnitaryNet:
-    """Exhaustive epsilon-dense net of the dim-dimensional unitary group.
+    """Exhaustive net of U(dim), dim 1 or 2, with proven radius at most epsilon.
 
-    Enumeration is lexicographic over the generator grid with the identity
-    prepended as element 0; near-duplicates are removed by rounded-entry
-    keys.  When the grid is too large to hold, the request is refused with
-    the estimate attached: that is the signal to fall back to a random net.
+    Element k K + j is e^{2 pi i k / (dim m)} times point j of the K-point
+    `_su2_grid` (1 at dim 1), for the n and m of `exhaustive_net_plan`.  As
+    det u = e^{2 i phi} fixes the phase, no element repeats; element 0 is
+    the identity.  Other dims and nets over the byte cap are refused with a
+    size-limit error: the signal to use a random net.
     """
     if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad net dimension {dim}")
-    points, estimated = exhaustive_net_plan(dim, epsilon)
-    _check_net_size(dim, estimated, f"exhaustive net at dim {dim}, resolution {epsilon}")
-    grid = np.linspace(-np.pi, np.pi, points)
-    # every grid point of the dim*dim generator parameters, lexicographic
-    axes = np.meshgrid(*([grid] * (dim * dim)), indexing="ij")
-    params = np.stack([ax.reshape(-1) for ax in axes], axis=1)
-    elements = expi_hermitian(hermitian_from_params(params, dim))
-    elements = np.concatenate(
-        [np.eye(dim, dtype=np.complex128)[None, :, :], elements], axis=0
-    )
-    elements = _dedup(elements)
+    n, m, radius = exhaustive_net_plan(dim, epsilon)
+    phases = np.exp(2j * np.pi * np.arange(m) / (dim * m))
+    special = _su2_grid(n) if dim == 2 else np.ones((1, 1, 1), dtype=np.complex128)
+    elements = (phases[:, None, None, None] * special).reshape(-1, dim, dim)
     _check_all_unitary(elements)
     return UnitaryNet(
         dim=dim,
         resolution=float(epsilon),
         mode="exhaustive",
         elements=elements,
+        covering_radius=radius,
     )
 
 
 def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     """Seeded Haar-random net with the identity as element 0.
 
-    Used where the exhaustive grid is infeasible; its covering radius is a
-    statistical matter, reported by `net_density_report`, not a guarantee.
+    Used where no exhaustive net exists; its covering radius is only
+    measured, by `net_density_report`, never proven.
     """
     if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad net dimension {dim}")
@@ -180,7 +174,12 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
         raise InvalidInputError("net size must be positive")
     if not 0.0 < epsilon <= 1.0:
         raise DomainError("net resolution must lie in (0, 1]")
-    _check_net_size(dim, size + 1, f"random net at dim {dim}")
+    cap = _NET_BYTES_CAP // (16 * dim * dim)
+    if size + 1 > cap:
+        raise SizeLimitError(
+            f"random net at dim {dim} needs {size + 1} elements (cap {cap})",
+            estimated_size=float(size + 1) if size < sys.float_info.max else None,
+        )
     rng = np.random.default_rng(seed)
     elements = np.empty((size + 1, dim, dim), dtype=np.complex128)
     elements[0] = np.eye(dim)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,9 @@ def test_fsigma_search_small(tmp_path):
     doc = _load(out)
     assert doc["summary"]["all_found"] is True
     assert doc["summary"]["net_mode"] == "exhaustive"
+    summary = list(doc["summary"])
+    assert summary[summary.index("net_resolution") + 1] == "net_covering_radius"
+    assert doc["summary"]["net_covering_radius"] == witness.exhaustive_net_plan(2, 0.7)[2] <= 0.7
 
 
 def test_fsigma_search_random_net(tmp_path):
@@ -158,6 +162,7 @@ def test_fsigma_search_random_net(tmp_path):
     doc = _load(out)
     assert doc["summary"]["net_mode"] == "random"
     assert doc["summary"]["all_found"] is True
+    assert doc["summary"]["net_covering_radius"] is None
 
 
 def test_fsigma_search_random_net_density_uses_independent_probes(tmp_path):
@@ -189,7 +194,7 @@ def test_fsigma_search_counts_witnesses_at_distance_one(tmp_path):
     assert code == 0
     doc = _load(out)
     far = sum(row["norm_distance"] >= 1.0 for row in doc["rows"])
-    assert doc["summary"]["found_distance_ge_1"] == far == 27
+    assert doc["summary"]["found_distance_ge_1"] == far == 33
     assert all(row["gap"] < 1.0 and row["below_two"] for row in doc["rows"])
 
 
@@ -221,13 +226,25 @@ def test_exit_code_config_error(tmp_path):
     assert code == 2
 
 
+def _timed_main(argv):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    # a refusal comes before any net is built
+    assert time.perf_counter() - start <= 1.0
+    return code
+
+
 def test_exit_code_size_limit(tmp_path, capsys):
-    code = cli.main(["fsigma-search", "--dim", "4", "--net", "exhaustive",
-                     "--pairs", "1", "--output", str(tmp_path / "x.json")])
-    assert code == 3
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "size-limit"
-    assert record["estimated_size"] > 0
+    # no exhaustive net above dim 2
+    for dim in ("4", "8"):
+        out = tmp_path / "x.json"
+        code = _timed_main(["fsigma-search", "--dim", dim, "--net", "exhaustive",
+                            "--pairs", "1", "--output", str(out)])
+        assert code == 3
+        record = _only_error_record(capsys)
+        assert record == {"error": "size-limit", "message": record["message"], "exit_code": 3}
+        assert f"no exhaustive net at dim {dim}" in record["message"]
+        assert not out.exists()
 
 
 def test_random_net_over_size_cap_refused(tmp_path, capsys):
@@ -248,23 +265,23 @@ def _only_error_record(capsys):
 
 
 def test_exhaustive_net_count_beyond_float_refused(tmp_path, capsys):
-    # 176^256 grid points: the count does not fit a float
+    # no exhaustive net above dim 2, however its count would be put
     out = tmp_path / "x.json"
-    code = cli.main(["fsigma-search", "--dim", "16", "--net", "exhaustive",
-                     "--pairs", "1", "--output", str(out)])
+    code = _timed_main(["fsigma-search", "--dim", "16", "--net", "exhaustive",
+                        "--pairs", "1", "--output", str(out)])
     assert code == 3
     record = _only_error_record(capsys)
     assert record["error"] == "size-limit"
     assert "estimated_size" not in record
-    assert "10^574.9 elements" in record["message"]
+    assert "no exhaustive net at dim 16" in record["message"]
     assert not out.exists()
 
 
 def test_subnormal_resolution_refused(tmp_path, capsys):
-    # the grid spacing is subnormal and 2 pi / spacing overflows to inf
+    # over 8 (sqrt(3) / epsilon)^3 elements: refused before any n is tried
     out = tmp_path / "x.json"
-    code = cli.main(["fsigma-search", "--dim", "2", "--net", "exhaustive",
-                     "--epsilon", "1e-320", "--pairs", "1", "--output", str(out)])
+    code = _timed_main(["fsigma-search", "--dim", "2", "--net", "exhaustive",
+                        "--epsilon", "1e-320", "--pairs", "1", "--output", str(out)])
     assert code == 3
     record = _only_error_record(capsys)
     assert record["error"] == "size-limit"

@@ -79,12 +79,13 @@ def test_bruteforce_matches_closed_form_dim2():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_bruteforce_matches_closed_form_random(dim):
     rng = np.random.default_rng(40 + dim)
-    for trial in range(12):
-        xi, eta = _aligned_pair(dim, rng)
+    xis, etas = zip(*(_aligned_pair(dim, rng) for _ in range(12)))
+    # one batched search; trial k runs on seed k
+    results = orbit.min_distance_searches(xis, etas, 10_000, list(range(12)))
+    for xi, eta, result in zip(xis, etas, results):
         closed = orbit.min_distance_closed_form(xi, eta).closed_form_distance
-        found = orbit.min_distance_bruteforce(xi, eta, budget=10_000, seed=trial).distance
-        assert found >= closed - 1e-6
-        assert abs(found - closed) <= 1e-4
+        assert result.distance >= closed - 1e-6
+        assert abs(result.distance - closed) <= 1e-4
 
 
 def test_bruteforce_never_below_exact_carrier_floor():

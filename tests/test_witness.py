@@ -34,14 +34,13 @@ def test_exhaustive_net_contains_nearby_rotation():
 
 
 def test_exhaustive_net_size_limit():
-    with pytest.raises(SizeLimitError) as info:
-        witness.enumerate_net(4, 0.4)
-    assert info.value.estimated_size is not None
-    assert info.value.estimated_size > 1e6
-    # beyond the float range the count is compared exactly and left out
-    with pytest.raises(SizeLimitError) as info:
-        witness.enumerate_net(16, 0.4)
-    assert info.value.estimated_size is None
+    # none above dim 2, and none past the cap: refused with no count, either
+    # by the closed-form bound (1e-320, 0.02) or by the search over n (0.028)
+    cases = [(d, 1.0) for d in (3, 4, 5, 8, 16, config.MAX_DIM)]
+    for dim, epsilon in cases + [(2, 1e-320), (2, 0.02), (2, 0.028), (1, 1e-320), (1, 3e-7)]:
+        with pytest.raises(SizeLimitError) as info:
+            witness.enumerate_net(dim, epsilon)
+        assert info.value.estimated_size is None
 
 
 def test_net_size_cap_is_shared_and_checked_before_allocating():
@@ -54,50 +53,94 @@ def test_net_size_cap_is_shared_and_checked_before_allocating():
     assert len(witness.random_net(16, 0.4, size=10, seed=0)) == 11
 
 
-def _dedup_reference(elements):
-    """The first-occurrence set loop that _dedup must reproduce."""
-    seen, keep = set(), []
-    rounded = np.round(elements, 9) + 0.0
-    for i in range(elements.shape[0]):
-        key = rounded[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return elements[keep]
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_dedup_keeps_first_occurrences(dim):
-    rng = np.random.default_rng(dim)
-    base = linalg.haar_unitary(dim, rng, count=40)
-    picks = rng.integers(0, 40, size=300)
-    noisy = base[picks] + 1e-13 * rng.normal(size=(300, dim, dim))
-    out = witness._dedup(noisy)
-    assert np.array_equal(out, _dedup_reference(noisy))
-    assert len(np.unique(picks)) <= len(out) < 300
-
-
-def test_dedup_merges_signed_zeros():
-    # -1e-12 rounds to -0.0: the same element as one with +0.0 there
-    a = np.array([[1.0, 1e-12], [0.0, 1.0]], dtype=np.complex128)
-    b = np.array([[1.0, -1e-12], [0.0, 1.0]], dtype=np.complex128)
-    c = np.array([[1.0, -0.0], [0.0, 1.0]], dtype=np.complex128)
-    out = witness._dedup(np.stack([a, b, c]))
-    assert len(out) == 1
-    assert np.array_equal(out[0], a)
-
-
-def _expi_eigh(h):
-    w, v = np.linalg.eigh(h)
-    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
+def _boom(*args, **kwargs):
+    raise AssertionError("the exhaustive net takes no exponential")
 
 
 def test_exhaustive_net_count_does_not_depend_on_exp_kernel():
-    closed = witness.enumerate_net(2, 0.4)
-    with mock.patch.object(witness, "expi_hermitian", _expi_eigh):
-        eigh = witness.enumerate_net(2, 0.4)
-    assert len(closed) == len(eigh) == 193_008
-    assert np.max(np.abs(closed.elements - eigh.elements)) <= 1e-14
+    with mock.patch.object(linalg, "expi_hermitian", _boom), \
+            mock.patch.object(np.linalg, "eigh", _boom):
+        net = witness.enumerate_net(2, 0.4)
+    assert len(net) == 26_640
+    assert witness.exhaustive_net_plan(2, 0.4) == (6, 15, pytest.approx(0.39335, abs=1e-5))
+    assert witness.exhaustive_net_plan(2, 0.2) == (12, 29, pytest.approx(0.19850, abs=1e-5))
+
+
+def _su2(q):
+    """SU(2) matrices of the rows of q, normalized to unit quaternions."""
+    a, b, c, d = (q / np.linalg.norm(q, axis=-1, keepdims=True)).T
+    return np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b], axis=1).reshape(-1, 2, 2)
+
+
+def _adversarial_probes(dim, n, m, rng, count):
+    """Haar probes, phase midpoints and projected cube-cell centres.
+
+    A phase midpoint is an element turned by half a phase step, e^{i pi /
+    (dim m)}; at dim 2 the midpoint phases multiply SU(2) matrices at the
+    centres of random cells of the cube-surface grid, the points of S^3
+    farthest from the grid before projection.
+    """
+    turn = np.exp(1j * np.pi * (2 * rng.integers(0, m, size=count) + 1) / (dim * m))
+    if dim == 1:
+        special = np.ones((count, 1, 1))
+    else:
+        h = 2.0 / n
+        q = (rng.integers(0, n, size=(count, 4)) + 0.5) * h - 1.0
+        axis = rng.integers(0, 4, size=count)
+        q[np.arange(count), axis] = rng.choice([-1.0, 1.0], size=count)
+        special = _su2(q)
+    return np.concatenate([
+        linalg.haar_unitary(dim, rng, count=count),
+        turn[:, None, None] * special,
+    ])
+
+
+def _assert_covered(dim, epsilon, seed):
+    net = witness.enumerate_net(dim, epsilon)
+    n, m, radius = witness.exhaustive_net_plan(dim, epsilon)
+    assert net.covering_radius == radius <= epsilon
+    probes = _adversarial_probes(dim, n, m, np.random.default_rng(seed), 40)
+    dists = witness._nearest(net.elements, probes)[1]
+    # 1e-12 is rounding: a dim-1 phase midpoint sits at the radius exactly
+    assert dists.max() <= radius + 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(epsilon=st.floats(0.3, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_exhaustive_net_covers_within_proven_radius_dim2(epsilon, seed):
+    _assert_covered(2, epsilon, seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(epsilon=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+def test_exhaustive_net_covers_within_proven_radius_dim1(epsilon, seed):
+    try:
+        witness.exhaustive_net_plan(1, epsilon)
+    except SizeLimitError:
+        # at most 8,000,000 phases: too few to come within epsilon < 3.93e-7
+        assert np.pi / epsilon > witness._NET_BYTES_CAP // 16
+        return
+    _assert_covered(1, epsilon, seed)
+
+
+@pytest.mark.parametrize(
+    "dim, epsilon", [(1, 0.5), (1, 1.0), (2, 1.0), (2, 0.7), (2, 0.4), (2, 0.2)]
+)
+def test_exhaustive_net_is_exact_identity_first_and_distinct(dim, epsilon):
+    net = witness.enumerate_net(dim, epsilon)
+    n, m, radius = witness.exhaustive_net_plan(dim, epsilon)
+    assert len(net) == m * (8 * n**3 + 8 * n if dim == 2 else 1)
+    assert np.array_equal(net.elements[0], np.eye(dim))
+    witness._check_all_unitary(net.elements)
+    flat = net.elements.reshape(len(net), -1)
+    # exact repeats, or repeats to 9 digits, would collapse under rounding
+    assert len(np.unique(np.round(flat, 9) + 0.0, axis=0)) == len(net)
+    if len(net) <= 1000:
+        # every pair: ||a - b||_F^2 = 2 dim - 2 Re <a, b> for unitaries
+        x = np.concatenate([flat.real, flat.imag], axis=1)
+        gram = x @ x.T
+        np.fill_diagonal(gram, -np.inf)
+        assert 2 * dim - 2 * gram.max() > 1e-3
 
 
 def _nearest_reference(elements, u):
