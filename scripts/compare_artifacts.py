@@ -3,11 +3,12 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 25 invocations (the seven README commands, the ten
+Runs a fixed list of 26 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
-`fsigma-search`, the dim-16 and dim-4 exhaustive-net refusals, and a
-dim-2 exhaustive net at `--epsilon 0.2`), each with
+`fsigma-search`, the dim-16 and dim-4 exhaustive-net refusals, a dim-2
+exhaustive net at `--epsilon 0.2`, and a 20,000-element dim-4 random net
+whose 200 density probes take many slices of exact norms), each with
 `--out json` and `--out csv`, as `python -m carlab.cli` under each
 tree's `src` with one BLAS thread.
 For every run it prints whether the exit codes, stderr and stdout (up to
@@ -63,6 +64,8 @@ INVOCATIONS = [
     "fsigma-search --dim 2 --net exhaustive --epsilon 0.2 --pairs 5 --density-check"
     " --density-probes 20 --seed 1",
     "fsigma-search --dim 4 --net exhaustive --pairs 1",
+    "fsigma-search --dim 4 --net random --net-size 20000 --pairs 5 --epsilon 0.4"
+    " --density-check --density-probes 200 --seed 1",
 ]
 
 _INT = re.compile(r"[+-]?\d+")

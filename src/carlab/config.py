@@ -14,9 +14,9 @@ UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
 CONTRACTION_SLACK = 1e-9
 WITNESS_STRICTNESS = 1e-12
-# one working array of a blocked kernel: a drawn block of unitaries, a
-# float (elements x probes) block of the nearest-element scan, or the
-# stacked polls of a block of search trials
+# one working array of a blocked kernel: a drawn or checked block of
+# unitaries, a float (probes x elements) block of the nearest-element
+# scan, or the stacked polls of a block of search trials
 BLOCK_BYTES = 1 << 22
 
 

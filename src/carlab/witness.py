@@ -42,6 +42,8 @@ from .states import VectorState, pullback, state_distance
 _NET_BYTES_CAP = 128_000_000
 _CHUNK = 8192
 _FIRST_BLOCK = 64
+# candidates per probe normed before the reach is lowered to their best
+_FIRST_NORMS = 4
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,16 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int, float]:
 
 
 def _check_all_unitary(elements: np.ndarray) -> None:
+    """Refuse a stack whose worst ||u*u - I||_F, over blocks of rows, exceeds 1e-9."""
     dim = elements.shape[-1]
-    gram = np.einsum("nji,njk->nik", elements.conj(), elements)
-    gram -= np.eye(dim, dtype=np.complex128)
-    # Frobenius norm dominates the operator norm
-    worst = float(np.sqrt(np.max(np.einsum("nij,nij->n", gram.conj(), gram).real)))
+    step = block_rows(16 * dim * dim)
+    worst = 0.0
+    for lo in range(0, len(elements), step):
+        block = elements[lo : lo + step]
+        gram = np.einsum("nji,njk->nik", block.conj(), block)
+        gram -= np.eye(dim, dtype=np.complex128)
+        # Frobenius norm dominates the operator norm
+        worst = max(worst, float(np.sqrt(np.max(np.einsum("nij,nij->n", gram.conj(), gram).real))))
     if worst > 1e-9:
         raise NumericalInvariantError(f"net element off unitarity by {worst:.3e}")
 
@@ -206,6 +213,17 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, np.einsum("jkx,jkx->jk", cols, cols)
 
 
+def _exact_norms(exact, block, u, q, e, pairs: int) -> None:
+    """Set exact[q, e] to ||block[e] - u[q]||, `pairs` differences at a time.
+
+    In slices: where the bound prunes little, N - u for every candidate
+    pair would outgrow the block budget.
+    """
+    for s in range(0, len(q), pairs):
+        qs, es = q[s : s + pairs], e[s : s + pairs]
+        exact[qs, es] = operator_norms(block[es] - u[qs])
+
+
 def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index and operator-norm distance of the closest element to each probe.
 
@@ -214,10 +232,15 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     are computed only for (element, probe) pairs that can still win.  The
     largest column norm of N - u bounds ||N - u|| from below; its square
     is max_j ||N e_j||^2 + ||u e_j||^2 - 2 Re <N e_j, u e_j>, d GEMMs over
-    all pairs of a chunk.  A pair is normed exactly when that bound, less a
-    rounding slack scaled by the column norms, is within the best distance
-    so far, first seeded with the lowest-bound element of the chunk; every
-    other pair is strictly farther than that best.
+    all pairs of a chunk.  A pair is normed exactly only while that bound,
+    less a rounding slack scaled by the column norms, is within the probe's
+    reach: an exact distance already taken.  The reach starts at the lesser
+    of the best distance of earlier chunks and that of the chunk's
+    lowest-bound element; the pairs within it are the candidates.  Each
+    probe's `_FIRST_NORMS` lowest-bound candidates are normed first and
+    lower its reach to their least distance; of the rest, only those whose
+    bound is still within it are normed.  Every pair left out is strictly
+    farther than some normed one, so it can neither win nor tie.
     """
     n, d = elements.shape[0], elements.shape[-1]
     count = probes.shape[0]
@@ -233,31 +256,40 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     for plo in range(0, count, step):
         u = probes[plo : plo + step]
         u_cols, u_sq = _columns(u)
-        u_scale = u_sq.max(axis=0)
+        u_sq_less = u_sq - slack * u_sq.max(axis=0)
         near, near_idx = best[plo : plo + step], index[plo : plo + step]
         every = np.arange(len(u))
         for lo in range(0, n, chunk):
             block = elements[lo : lo + chunk]
             cols, sq = _columns(block)
-            # (probe, element) blocks, so each probe's scan runs along a row
+            # (probe, element) blocks, so each probe's scan runs along a row;
+            # `exact` holds each column's squared norms until the exact pass.
+            # The slack is taken off the squared column norms, not the tile.
+            sq_less = sq - slack * sq.max(axis=0)
             bound = np.zeros((len(u), len(block)))
+            exact = np.empty_like(bound)
             for j in range(d):
-                col = u_cols[j] @ cols[j].T
-                col *= -2.0
-                col += sq[j]
-                col += u_sq[j][:, None]
-                np.maximum(bound, col, out=bound)
+                np.matmul(u_cols[j], cols[j].T, out=exact)
+                exact *= -2.0
+                exact += sq_less[j]
+                exact += u_sq_less[j][:, None]
+                np.maximum(bound, exact, out=bound)
             seed = np.argmin(bound, axis=1)
             reach = np.minimum(near, operator_norms(block[seed] - u))
-            bound -= slack * sq.max(axis=0)
-            bound -= (slack * u_scale)[:, None]
             q, e = np.nonzero(bound <= (reach * reach)[:, None])
-            exact = np.full(bound.shape, np.inf)
-            # in slices: where the bound prunes little, N - u for every
-            # candidate pair would outgrow the block budget
-            for s in range(0, len(q), pairs):
-                qs, es = q[s : s + pairs], e[s : s + pairs]
-                exact[qs, es] = operator_norms(block[es] - u[qs])
+            low = bound[q, e]
+            # each probe's candidates in a run, lowest bound first; the
+            # first few of each run are normed first and lower its reach
+            order = np.lexsort((low, q))
+            q, e, low = q[order], e[order], low[order]
+            first = np.ones(len(q), dtype=bool)
+            first[_FIRST_NORMS:] = q[_FIRST_NORMS:] != q[:-_FIRST_NORMS]
+            exact.fill(np.inf)
+            qf, ef = q[first], e[first]
+            _exact_norms(exact, block, u, qf, ef, pairs)
+            np.minimum.at(reach, qf, exact[qf, ef])
+            rest = ~first & (low <= (reach * reach)[q])
+            _exact_norms(exact, block, u, q[rest], e[rest], pairs)
             i = np.argmin(exact, axis=1)
             dist = exact[every, i]
             # later chunks win only strictly: ties keep the first index

@@ -91,12 +91,14 @@ def test_bruteforce_matches_closed_form_random(dim):
 def test_bruteforce_never_below_exact_carrier_floor():
     # without phase alignment the floor is ||xi - eta||, above the closed form
     rng = np.random.default_rng(50)
-    for trial in range(8):
-        xi = linalg.random_unit_vector(3, rng)
-        eta = linalg.random_unit_vector(3, rng)
+    xis, etas = zip(*((linalg.random_unit_vector(3, rng), linalg.random_unit_vector(3, rng))
+                      for _ in range(8)))
+    # one batched search; trial k runs on seed k
+    results = orbit.min_distance_searches(xis, etas, 4000, list(range(8)))
+    for xi, eta, result in zip(xis, etas, results):
         floor = np.linalg.norm(xi - eta)
         closed = orbit.min_distance_closed_form(xi, eta).closed_form_distance
-        found = orbit.min_distance_bruteforce(xi, eta, budget=4000, seed=trial).distance
+        found = result.distance
         assert found >= closed - 1e-6
         assert abs(found - floor) <= 1e-4
 
@@ -153,12 +155,14 @@ def test_state_oracle_adjudicates_the_constant():
     # on two-qubit products the state-equality search lands on the
     # single-constant value and stays far from the doubled one
     rng = np.random.default_rng(53)
-    for trial in range(8):
-        factors = [linalg.random_unit_vector(2, rng) for _ in range(4)]
-        x1, x2, e1, e2 = factors
+    factors = [[linalg.random_unit_vector(2, rng) for _ in range(4)] for _ in range(8)]
+    xis = [np.kron(x1, x2) for x1, x2, _, _ in factors]
+    etas = [np.kron(e1, e2) for _, _, e1, e2 in factors]
+    # one batched search; trial k runs on seed k
+    results = orbit.state_min_distance_searches(xis, etas, 8000, list(range(8)))
+    for (x1, x2, e1, e2), result in zip(factors, results):
         report = orbit.product_min_distance([x1, x2], [e1, e2])
-        xi, eta = np.kron(x1, x2), np.kron(e1, e2)
-        found = orbit.state_min_distance_bruteforce(xi, eta, budget=8000, seed=trial).distance
+        found = result.distance
         assert found >= report.distance_single - 1e-6
         assert abs(found - report.distance_single) <= 1e-3
         if report.overlap_product < 0.9:

@@ -3,10 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carlab import config, linalg, witness
+from carlab import cli, config, linalg, witness
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
 from carlab.states import VectorState, pullback
 from reference import projector, rotation_unitary, sup_gap, witness_search_by_chunks
@@ -164,16 +164,29 @@ def _assert_nearest_matches_reference(elements, probes):
     size=st.integers(1, 120),
     seed=st.integers(0, 2**32 - 1),
     probes=st.sampled_from(["independent", "members", "scaled"]),
-    ties=st.booleans(),
+    ties=st.sampled_from(["none", "some", "every"]),
     chunk=st.sampled_from([5, 32, witness._CHUNK]),
-    block_bytes=st.sampled_from([64, config.BLOCK_BYTES]),
+    # 1 byte: every exact slice holds a single pair
+    block_bytes=st.sampled_from([1, 64, config.BLOCK_BYTES]),
 )
+# nets with fewer elements than the best-first pass norms first
+@example(dim=4, size=3, seed=0, probes="independent", ties="none", chunk=witness._CHUNK,
+         block_bytes=config.BLOCK_BYTES)
+@example(dim=2, size=1, seed=1, probes="scaled", ties="none", chunk=5, block_bytes=1)
+# every least distance tied across the first and the second exact pass
+@example(dim=4, size=40, seed=2, probes="independent", ties="every", chunk=32, block_bytes=1)
+@example(dim=3, size=2, seed=3, probes="members", ties="every", chunk=5, block_bytes=64)
 def test_nearest_equals_full_scan(dim, size, seed, probes, ties, chunk, block_bytes):
     rng = np.random.default_rng(seed)
     elements = linalg.haar_unitary(dim, rng, count=size)
-    if ties:
+    if ties == "some":
         # repeated elements: equal distances, of which the first index wins
         elements = elements[rng.integers(0, size, size=2 * size)]
+    elif ties == "every":
+        # each element more often than the best-first pass norms first,
+        # shuffled, so ties at the least distance straddle both passes
+        copies = np.repeat(np.arange(size), 2 * witness._FIRST_NORMS + 1)
+        elements = elements[rng.permutation(copies)]
     if probes == "independent":
         u = linalg.haar_unitary(dim, rng, count=9)
     elif probes == "members":
@@ -231,6 +244,30 @@ def test_density_report_working_memory_is_bounded():
     assert peak <= 12 * config.BLOCK_BYTES + 30_000 * 8
 
 
+# The witness benchmark's nets.  Norming every candidate within the seed's
+# reach takes 13,183 and 9,054 exact norms at dim 4 (seeds 1 and 23), and
+# 714 and 251 at dim 2: the best-first pass takes far fewer at dim 4 and
+# never more.
+@pytest.mark.parametrize("argv, most", [
+    ("--dim 4 --net random --net-size 3000 --pairs 15 --density-probes 40 --seed 1", 3000),
+    ("--dim 4 --net random --net-size 3000 --pairs 15 --density-probes 40 --seed 23", 3500),
+    ("--dim 2 --pairs 20 --density-probes 30 --seed 1", 714),
+    ("--dim 2 --net random --net-size 5000 --pairs 50 --seed 1", 251),
+])
+def test_density_check_takes_few_exact_norms(tmp_path, argv, most):
+    normed = []
+
+    def counting(a):
+        normed.append(len(a))
+        return linalg.operator_norms(a)
+
+    cli_argv = ["fsigma-search", "--epsilon", "0.4", "--density-check",
+                *argv.split(), "--output", str(tmp_path / "w.json")]
+    with mock.patch.object(witness, "operator_norms", counting):
+        assert cli.main(cli_argv) == 0
+    assert 0 < sum(normed) <= most
+
+
 def test_exhaustive_net_statistical_density():
     net = witness.enumerate_net(2, 0.7)
     report = witness.net_density_report(net, probes=100, seed=5)
@@ -272,6 +309,18 @@ def test_random_net_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= net.elements.nbytes + 8 * config.BLOCK_BYTES
+
+
+def test_exhaustive_net_transient_memory_is_bounded():
+    # the unitarity check of the whole 403,680-element net at once peaked
+    # at about 3.3x the element array; in blocks it adds a few block budgets
+    tracemalloc.start()
+    try:
+        net = witness.enumerate_net(2, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= net.elements.nbytes + 6 * config.BLOCK_BYTES
 
 
 def test_net_resolution_validation():
