@@ -37,7 +37,7 @@ from .orbit import (
     product_min_distance,
     state_min_distance_searches,
 )
-from .seeding import derive_seeds
+from .seeding import check_seed, derive_seeds
 from .sequences import angles_from_descriptor, classify_pair, partial_products, weierstrass_bounds, WindowPolicy
 from .states import VectorState, pullback
 from .witness import (
@@ -411,6 +411,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    try:
+        return check_seed(int(text))
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -426,7 +433,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=7)
+    sub.add_argument("--seed", type=seed_int, default=7)
     sub.add_argument("--out", choices=("json", "csv"), default="json")
     sub.add_argument("--out-dir", default=None, help=f"default: ${OUTPUT_DIR_ENV} or cwd")
     sub.add_argument("--output", default=None, help="explicit output file path")

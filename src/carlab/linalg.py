@@ -172,15 +172,13 @@ def two_plane_unitary(xi, eta) -> np.ndarray:
     as small as the exact-image constraint allows:
     ||I - u|| = sqrt(2 (1 - Re<xi|eta>)).
 
-    For colinear inputs eta = c*xi the map is multiplication by c on the
-    line C*xi and identity elsewhere (the continuous limit of the generic
-    construction).
+    For colinear inputs eta = c*xi (a residual of norm at most 1e-12) the
+    map is multiplication by c on the line C*xi and identity elsewhere.
+    That is not the limit of the generic branch, which multiplies the
+    residual's direction by conj(c), so at the threshold the two branches
+    differ by up to |1 - conj(c)|; both carry xi to eta.
     """
-    return _two_plane_unitary(*unit_vector_pair(xi, eta))
-
-
-def _two_plane_unitary(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """`two_plane_unitary` of two complex128 unit vectors already checked."""
+    xi, eta = unit_vector_pair(xi, eta)
     d = xi.shape[0]
     c = np.vdot(xi, eta)
     resid = eta - c * xi

@@ -12,7 +12,11 @@ the start point of each trial whose fx is still inf, as one stacked call
 through the batched `linalg` layer, while each trial's restarts stay
 sequential on its own budget, so a trial's result does not depend on the
 others.  A finished trial keeps its slot with no budget left and adds no
-rows.  The single-pair oracles are the one-trial case.
+rows.  The single-pair oracles are the one-trial case.  Both objectives
+are evaluated in eta's frame, where a stabilizer element is
+diag(1, exp(iH)) and a trial's carrier is three constant matrices
+combined with the image phase, so a row costs one exp(iH) and one
+operator norm of a d x d matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from .config import MAX_DIM, block_rows
 from .errors import DomainError, InvalidInputError, SizeLimitError
 from .linalg import (
-    _two_plane_unitary,
     expi_hermitian,
     hermitian_from_params,
     operator_norms,
@@ -80,23 +83,50 @@ class SearchResult:
     best_step: float
 
 
-def _stabilizer(etas: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Stabilizer elements of each eta from rows of (d-1)^2 real parameters.
+def _frame(xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trial's carrier xi -> z eta in eta's frame, as A + z M1 + conj(z) M2.
 
-    Row r is a Hermitian generator on the orthogonal complement of
-    etas[trial[r]]; its element is the identity on that eta's line and
-    exp(iH) on the complement.
+    With E = [eta | Q], Q the QR complement of eta, a stabilizer element
+    S = P_eta + Q W Q* is E diag(1, W) E*, and ||I - S B|| = ||S* - B||
+    for unitary S.  So each objective row is ||diag(1, W*) - E* B E||,
+    where B = two_plane_unitary(xi, z eta) for a unit phase z, and
+    E* B E = two_plane_unitary(v, z e_0) with v = E* xi.  Expanding that
+    map with r = e_0 - conj(v_0) v (plus a second Gram-Schmidt pass),
+    s = ||r|| and zeta = r / s gives z-free constants:
+    A = I - v v* - zeta zeta*, M1 = e_0 v*, M2 = (v_0 zeta - s v) zeta*;
+    and on the colinear branch (s <= 1e-12) A = I - v v*,
+    M1 = conj(v_0) v v*, M2 = 0.  Returns the (trials, d, d) stacks A, M1, M2.
     """
-    d = etas.shape[1]
-    q = np.linalg.qr(etas[:, :, None], mode="complete")[0][:, :, 1:]
-    qh = q.conj().transpose(0, 2, 1)
-    proj = etas[:, :, None] * etas.conj()[:, None, :]
+    d = xis.shape[1]
+    q = np.linalg.qr(etas[:, :, None], mode="complete")[0]
+    frame = np.concatenate([etas[:, :, None], q[:, :, 1:]], axis=2)
+    v = np.einsum("tji,tj->ti", frame.conj(), xis)
+    v0 = v[:, :1]
+    r = -np.conj(v0) * v
+    r[:, 0] += 1.0
+    # a second Gram-Schmidt pass, as in `two_plane_unitary`
+    r -= np.sum(v.conj() * r, axis=1, keepdims=True) * v
+    s = np.linalg.norm(r, axis=1, keepdims=True)
+    colinear = s <= 1e-12
+    zeta = np.divide(r, s, out=np.zeros_like(r), where=~colinear)
 
-    def elements(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
-        w = expi_hermitian(hermitian_from_params(x, d - 1))
-        return proj[trial] + q[trial] @ w @ qh[trial]
+    def outer(a, b):
+        return a[:, :, None] * b.conj()[:, None, :]
 
-    return elements
+    a = np.eye(d) - outer(v, v) - outer(zeta, zeta)
+    m1 = outer(np.where(colinear, np.conj(v0) * v, np.eye(d)[0]), v)
+    m2 = outer(v0 * zeta - s * v, zeta)
+    return a, m1, m2
+
+
+def _frame_norms(carriers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||diag(1, W*) - carrier|| per row, W = exp(iH) from the row's generator in x."""
+    # W* = exp(-iH)
+    w = expi_hermitian(hermitian_from_params(-x, carriers.shape[-1] - 1))
+    gap = -carriers
+    gap[:, 0, 0] += 1.0
+    gap[:, 1:, 1:] += w
+    return operator_norms(gap)
 
 
 def _lockstep_search(
@@ -227,15 +257,14 @@ def _exact_image_objective(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """||I - u|| for each parameter row, u = (stabilizer element) (xi -> eta) of its trial.
 
-    xis and etas come checked from `_check_oracle_inputs`, so the carriers
-    are built by the unchecked kernel.
+    Evaluated in eta's frame (`_frame`), where the carrier xi -> eta of a
+    trial is the fixed matrix A + M1 + M2.
     """
-    stabilizer = _stabilizer(etas)
-    bases = np.stack([_two_plane_unitary(xi, eta) for xi, eta in zip(xis, etas)])
-    eye = np.eye(xis.shape[1], dtype=np.complex128)
+    a, m1, m2 = _frame(xis, etas)
+    carriers = a + m1 + m2
 
     def objective(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
-        return operator_norms(eye - stabilizer(x, trial) @ bases[trial])
+        return _frame_norms(carriers[trial], x)
 
     return objective
 
@@ -246,28 +275,16 @@ def _state_objective(
     """||I - u|| for each parameter row, u = (stabilizer element) (xi -> e^{i x_0} eta).
 
     xi, eta and the stabilizer are those of the row's trial.  Column 0 is
-    the phase on the image line, the rest the stabilizer generator.  A
-    poll moves the phase only along +/-e_0, so it holds at most three
-    distinct phases per trial; one carrier is built for each (trial,
-    phase), and the carriers of one call are kept for the next, whose poll
-    mostly repeats them.  Each carrier maps a checked xi to a checked eta
-    times a unit phase, so the unchecked kernel builds it.
+    the phase on the image line, the rest the stabilizer generator.  In
+    eta's frame (`_frame`) the carrier of a row is A + z M1 + conj(z) M2
+    with z = e^{i x_0}, so each row's carrier costs a few elementwise
+    products of its trial's constants.
     """
-    stabilizer = _stabilizer(etas)
-    eye = np.eye(xis.shape[1], dtype=np.complex128)
-    carriers: dict[complex, np.ndarray] = {}
+    a, m1, m2 = _frame(xis, etas)
 
     def objective(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
-        nonlocal carriers
-        # trial + i phase is exact and sorts by trial, then phase
-        keys, which = np.unique(trial + 1j * x[:, 0], return_inverse=True)
-        carriers = {
-            key: carriers[key] if key in carriers
-            else _two_plane_unitary(xis[int(key.real)], np.exp(1j * key.imag) * etas[int(key.real)])
-            for key in keys.tolist()
-        }
-        bases = np.stack(list(carriers.values()))
-        return operator_norms(eye - stabilizer(x[:, 1:], trial) @ bases[which])
+        z = np.exp(1j * x[:, :1, None])
+        return _frame_norms(a[trial] + z * m1[trial] + np.conj(z) * m2[trial], x[:, 1:])
 
     return objective
 

@@ -7,6 +7,8 @@ in which order they complete.
 
 from __future__ import annotations
 
+from .errors import InvalidInputError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -21,11 +23,17 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 
 def derive_seeds(root: int, count: int) -> list[int]:
-    """The first `count` per-trial seeds derived from `root`."""
-    state = root & _MASK
+    """The first `count` per-trial seeds derived from `root`, a 64-bit seed."""
+    state = check_seed(root)
     seeds = []
     for _ in range(count):
         state, value = splitmix64(state)
         seeds.append(value)
     return seeds
 
+
+def check_seed(seed: int) -> int:
+    """`seed` if it is a root seed of the stream, an integer in [0, 2^64)."""
+    if not 0 <= seed <= _MASK:
+        raise InvalidInputError(f"seed {seed} is outside [0, 2^64)")
+    return seed

@@ -72,6 +72,8 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
             raise InvalidInputError(f"bad random descriptor {descriptor!r}") from exc
         if not 0.0 < scale < HALF_PI:
             raise DomainError("random scale must lie in (0, pi/2)")
+        if seed < 0:
+            raise InvalidInputError(f"random descriptor seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         values = rng.uniform(-scale, scale, size=length)
     elif descriptor.startswith("file:"):

@@ -236,11 +236,12 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     less a rounding slack scaled by the column norms, is within the probe's
     reach: an exact distance already taken.  The reach starts at the lesser
     of the best distance of earlier chunks and that of the chunk's
-    lowest-bound element; the pairs within it are the candidates.  Each
-    probe's `_FIRST_NORMS` lowest-bound candidates are normed first and
-    lower its reach to their least distance; of the rest, only those whose
-    bound is still within it are normed.  Every pair left out is strictly
-    farther than some normed one, so it can neither win nor tie.
+    lowest-bound element, its seed; the pairs within it are the
+    candidates.  Each probe's `_FIRST_NORMS` lowest-bound candidates, the
+    seed first with its distance reused, are normed first and lower its
+    reach to their least distance; of the rest, only those whose bound is
+    still within it are normed.  Every pair left out is strictly farther
+    than some normed one, so it can neither win nor tie.
     """
     n, d = elements.shape[0], elements.shape[-1]
     count = probes.shape[0]
@@ -275,7 +276,8 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
                 exact += u_sq_less[j][:, None]
                 np.maximum(bound, exact, out=bound)
             seed = np.argmin(bound, axis=1)
-            reach = np.minimum(near, operator_norms(block[seed] - u))
+            seed_dist = operator_norms(block[seed] - u)
+            reach = np.minimum(near, seed_dist)
             q, e = np.nonzero(bound <= (reach * reach)[:, None])
             low = bound[q, e]
             # each probe's candidates in a run, lowest bound first; the
@@ -285,7 +287,11 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
             first = np.ones(len(q), dtype=bool)
             first[_FIRST_NORMS:] = q[_FIRST_NORMS:] != q[:-_FIRST_NORMS]
             exact.fill(np.inf)
-            qf, ef = q[first], e[first]
+            # a probe's seed leads its run, if a candidate at all, and its
+            # distance is known already
+            exact[every, seed] = seed_dist
+            unknown = first & (e != seed[q])
+            qf, ef = q[unknown], e[unknown]
             _exact_norms(exact, block, u, qf, ef, pairs)
             np.minimum.at(reach, qf, exact[qf, ef])
             rest = ~first & (low <= (reach * reach)[q])

@@ -446,6 +446,36 @@ def test_bad_input_rejected_with_json_record(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fsigma-search", "--net", "random", "--pairs", "1", "--seed", "-1"],
+        ["fsigma-search", "--net", "random", "--pairs", "1", "--seed", str(2**64)],
+        ["reduce", "--alpha", "random:0.3:-1", "--beta", "zero"],
+        ["cauchy-gaps", "--alpha", "zero", "--beta", "random:0.3:-7"],
+        # the seed stream is 64-bit: 2^64 would run as seed 0, -1 as 2^64 - 1
+        ["min-distance", "--trials", "1", "--seed", str(2**64)],
+        ["min-distance", "--trials", "1", "--seed", "-1"],
+    ],
+)
+def test_bad_seed_rejected_with_one_line_record(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "config"
+    assert "seed" in record["message"]
+    assert not out.exists()
+
+
+def test_largest_seed_runs_and_is_echoed(tmp_path):
+    out = tmp_path / "x.json"
+    seed = 2**64 - 1
+    argv = ["min-distance", "--trials", "1", "--seed", str(seed), "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == seed
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_non_finite_value_is_invariant_error(tmp_path, monkeypatch, capsys, fmt, bad):

@@ -214,6 +214,61 @@ def test_batched_objective_equals_scalar_composition(dim, state):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def _eta_frame(eta):
+    """E = [eta | Q] with Q the oracle's QR complement of eta."""
+    q = np.linalg.qr(eta.reshape(-1, 1), mode="complete")[0]
+    return np.concatenate([eta.reshape(-1, 1), q[:, 1:]], axis=1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    dim=st.integers(2, 4),
+    kind=st.sampled_from(["random", "colinear", "near"]),
+    # at s = 1e-12 the two constructions may round s to opposite sides of
+    # the colinear threshold and take different, equally valid branches
+    log_s=st.floats(-15.0, -1.0).filter(lambda v: abs(v + 12.0) > 1e-3),
+    phase=st.floats(0.0, 2 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_carrier_equals_two_plane_unitary_in_eta_frame(dim, kind, log_s, phase, seed):
+    rng = np.random.default_rng(seed)
+    xi = linalg.random_unit_vector(dim, rng)
+    if kind == "random":
+        eta = linalg.random_unit_vector(dim, rng)
+    elif kind == "colinear":
+        eta = np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi
+    else:  # eta = c xi + s w with w orthogonal to xi and |c|^2 + s^2 = 1
+        s = 10.0**log_s
+        w = linalg.random_unit_vector(dim, rng)
+        w -= np.vdot(xi, w) * xi
+        w -= np.vdot(xi, w) * xi
+        w /= np.linalg.norm(w)
+        eta = np.sqrt(1.0 - s * s) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi + s * w
+    z = np.exp(1j * phase)
+    a, m1, m2 = orbit._frame(xi[None], eta[None])
+    got = a[0] + z * m1[0] + np.conj(z) * m2[0]
+    e = _eta_frame(eta)
+    want = e.conj().T @ linalg.two_plane_unitary(xi, z * eta) @ e
+    assert np.max(np.abs(got.conj().T @ got - np.eye(dim))) <= 1e-14
+    # zeta = r / s carries a rounding error of about eps / s in either
+    # construction, which moves the carrier on zeta's line by as much
+    s = np.linalg.norm(eta - np.vdot(xi, eta) * xi)
+    slack = 16 * np.finfo(np.float64).eps / s if s > 1e-12 else 0.0
+    assert np.max(np.abs(got - want)) <= max(1e-14, slack)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_state_objective_at_zero_phase_equals_exact_objective(dim):
+    rng = np.random.default_rng(63 + dim)
+    xis = np.stack([linalg.random_unit_vector(dim, rng) for _ in range(3)])
+    etas = np.stack([linalg.random_unit_vector(dim, rng) for _ in range(3)])
+    rows = rng.normal(size=(12, (dim - 1) ** 2))
+    trial = np.arange(12) % 3
+    exact = orbit._exact_image_objective(xis, etas)(rows, trial)
+    state = orbit._state_objective(xis, etas)(np.hstack([np.zeros((12, 1)), rows]), trial)
+    np.testing.assert_array_equal(state, exact)
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     dim=st.sampled_from([2, 3, 4]),

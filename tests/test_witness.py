@@ -247,9 +247,10 @@ def test_density_report_working_memory_is_bounded():
 # The witness benchmark's nets.  Norming every candidate within the seed's
 # reach takes 13,183 and 9,054 exact norms at dim 4 (seeds 1 and 23), and
 # 714 and 251 at dim 2: the best-first pass takes far fewer at dim 4 and
-# never more.
+# never more.  Reusing the seed's norm in the first pass takes seed 1 at
+# dim 4 from 2,159 to 2,119.
 @pytest.mark.parametrize("argv, most", [
-    ("--dim 4 --net random --net-size 3000 --pairs 15 --density-probes 40 --seed 1", 3000),
+    ("--dim 4 --net random --net-size 3000 --pairs 15 --density-probes 40 --seed 1", 2119),
     ("--dim 4 --net random --net-size 3000 --pairs 15 --density-probes 40 --seed 23", 3500),
     ("--dim 2 --pairs 20 --density-probes 30 --seed 1", 714),
     ("--dim 2 --net random --net-size 5000 --pairs 50 --seed 1", 251),
