@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import check_count
 from .errors import InvalidInputError, NumericalInvariantError, SizeLimitError
 from .intertwiner import (
     block_gaps,
@@ -357,7 +358,7 @@ _FAMILIES = {
 
 def run_product_test(args):
     """Running products of a factor family against their sandwich bounds."""
-    factors = _FAMILIES[args.family](args.terms)
+    factors = _FAMILIES[args.family](check_count(args.terms, "factor count"))
     products = partial_products(factors)
     lower, upper = weierstrass_bounds(factors)
     rows = []
@@ -535,8 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _error_record(kind: str, exc: Exception, code: int) -> int:
     record = {"error": kind, "message": str(exc), "exit_code": code}
-    if isinstance(exc, SizeLimitError) and exc.estimated_size is not None:
-        record["estimated_size"] = float(exc.estimated_size)
+    size = exc.estimated_size if isinstance(exc, SizeLimitError) else None
+    if size is not None and size < sys.float_info.max:
+        record["estimated_size"] = float(size)
     print(json.dumps(record), file=sys.stderr)
     return code
 

@@ -8,12 +8,17 @@ than approximated.  Kernels that stack many small matrices work in
 blocks of at most BLOCK_BYTES, sized by `block_rows`.
 """
 
+from .errors import SizeLimitError
+
 MAX_DIM = 4096
 MAX_LEVEL = 12
 UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
 CONTRACTION_SLACK = 1e-9
+CONSTRUCTION_TOL = 1e-9  # a built unitary's miss of unitarity or of its carried vector
 WITNESS_STRICTNESS = 1e-12
+DISTANCE_STRICTNESS = 1e-9  # margin by which a witness's distance must clear 2
+MAX_COUNT = 1 << 24
 # one working array of a blocked kernel: a drawn or checked block of
 # unitaries, a float (probes x elements) block of the nearest-element
 # scan, or the stacked polls of a block of search trials
@@ -23,3 +28,10 @@ BLOCK_BYTES = 1 << 22
 def block_rows(row_bytes: int) -> int:
     """Rows of `row_bytes` bytes that fit one working block, at least one."""
     return max(1, BLOCK_BYTES // row_bytes)
+
+
+def check_count(count: int, what: str) -> int:
+    """`count`, refused past MAX_COUNT: the longest array (128 MiB of float64) a count forms."""
+    if count > MAX_COUNT:
+        raise SizeLimitError(f"{what} {count} exceeds the cap {MAX_COUNT}", estimated_size=count)
+    return count

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_LEVEL
+from .config import CONSTRUCTION_TOL, MAX_LEVEL
 from .errors import InvalidInputError, LevelError, NumericalInvariantError
 from .linalg import (
     as_square_matrix,
@@ -142,12 +142,11 @@ def _factorwise_image(factors: Sequence[np.ndarray], angles) -> np.ndarray:
 
 
 def _verify_chain(chain: IntertwinerChain) -> None:
-    tol = 1e-9
     factors = [record.factor for record in chain.levels]
     drift = 1.0  # bounds ||(x)_j u_j*u_j - I|| by prod_j (1 + ||u_j*u_j - I||) - 1
     for record in chain.levels:
         drift *= 1.0 + operator_norm(record.factor.conj().T @ record.factor - np.eye(2))
-        if drift - 1.0 > tol:
+        if drift - 1.0 > CONSTRUCTION_TOL:
             raise NumericalInvariantError(f"chain level {record.n} is not unitary")
         image = _factorwise_image(factors[: record.n], chain.alpha)
         eta = product_vector(chain.beta[: record.n])
@@ -155,7 +154,7 @@ def _verify_chain(chain: IntertwinerChain) -> None:
             err = np.linalg.norm(image - eta)
         else:
             err = abs(1.0 - abs(np.vdot(image, eta)))
-        if err > tol:
+        if err > CONSTRUCTION_TOL:
             raise NumericalInvariantError(
                 f"chain level {record.n} misses its carrier vector by {err:.3e}"
             )

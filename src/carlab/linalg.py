@@ -3,10 +3,10 @@
 Input coercion, operator and trace norms, unitarity checks, the
 explicit plane / two-plane unitaries the rest of the package is built
 from, and the batched layer shared by the search oracles and the
-unitary nets: Hermitian matrices from real generator parameters, exp(iH)
-and operator norms over stacks of matrices.  Norms are computed from
-Hermitian eigen-decompositions of a*a, never from iterative methods, so
-repeated runs give identical values.
+unitary nets: Hermitian matrices from real generator parameters, exp(iH),
+operator norms and the terms of two-plane unitaries, over stacks.  Norms
+come from Hermitian eigen-decompositions, never from iterative methods,
+so repeated runs give identical values.
 """
 
 from __future__ import annotations
@@ -60,18 +60,15 @@ def operator_norm(a) -> float:
 
 
 def trace_norm(a) -> float:
-    """Sum of singular values, via Hermitian eigen-decomposition.
+    """Sum of singular values of a Hermitian matrix: the |eigenvalues|.
 
-    Hermitian inputs (every in-package use: differences of projections)
-    take the well-conditioned route through their own eigenvalues; going
-    through a*a would square the condition number and inflate near-zero
-    singular values to sqrt(eps).
+    Every in-package use is a difference of projections.  Other input is
+    refused, as a*a would inflate near-zero singular values to sqrt(eps).
     """
     a = as_square_matrix(a)
-    if np.allclose(a, a.conj().T, rtol=0.0, atol=1e-13):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    eigs = np.clip(np.linalg.eigvalsh(a.conj().T @ a), 0.0, None)
-    return float(np.sum(np.sqrt(eigs)))
+    if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-13):
+        raise InvalidInputError("trace_norm takes Hermitian matrices only")
+    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 
 def is_unitary(a) -> bool:
@@ -165,35 +162,44 @@ def plane_rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
+def two_plane_terms(xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row by row, two_plane_unitary(xi, z eta) = A + z M1 + conj(z) M2 for unit z.
+
+    xis and etas are (n, d) stacks of unit vectors.  With c = <xi|eta>,
+    r = eta - c xi, s = ||r|| and zeta = r / s, the map sends xi to
+    c xi + s zeta = eta and zeta to conj(c) zeta - s xi, and fixes the rest:
+    A = I - xi xi* - zeta zeta*, M1 = eta xi*, M2 = (conj(c) zeta - s xi) zeta*.
+    r takes a second Gram-Schmidt pass, as the first leaves it off by eps / s
+    when eta is nearly colinear.  Rows with s <= 1e-12 count as colinear:
+    A = I - xi xi*, M1 = c xi xi*, M2 = 0.  Both branches carry xi to z eta,
+    but the generic one multiplies zeta's line by conj(z c) and this one
+    fixes it, so at the threshold they differ by up to |1 - conj(z c)|.
+    """
+    c = np.sum(xis.conj() * etas, axis=1, keepdims=True)
+    r = etas - c * xis
+    r -= np.sum(xis.conj() * r, axis=1, keepdims=True) * xis
+    s = np.linalg.norm(r, axis=1, keepdims=True)
+    colinear = s <= 1e-12
+    zeta = np.divide(r, s, out=np.zeros_like(r), where=~colinear)
+
+    def outer(a, b):
+        return a[:, :, None] * b.conj()[:, None, :]
+
+    a = np.eye(xis.shape[1]) - outer(xis, xis) - outer(zeta, zeta)
+    m1 = outer(np.where(colinear, c * xis, etas), xis)
+    m2 = outer(np.conj(c) * zeta - s * xis, zeta)
+    return a, m1, m2
+
+
 def two_plane_unitary(xi, eta) -> np.ndarray:
     """Unitary sending xi to eta, identity on the complement of their span.
 
     Acts as a rotation on span{xi, eta}; the excursion from the identity is
     as small as the exact-image constraint allows:
-    ||I - u|| = sqrt(2 (1 - Re<xi|eta>)).
-
-    For colinear inputs eta = c*xi (a residual of norm at most 1e-12) the
-    map is multiplication by c on the line C*xi and identity elsewhere.
-    That is not the limit of the generic branch, which multiplies the
-    residual's direction by conj(c), so at the threshold the two branches
-    differ by up to |1 - conj(c)|; both carry xi to eta.
+    ||I - u|| = sqrt(2 (1 - Re<xi|eta>)).  It is the one-row `two_plane_terms` at z = 1.
     """
     xi, eta = unit_vector_pair(xi, eta)
-    d = xi.shape[0]
-    c = np.vdot(xi, eta)
-    resid = eta - c * xi
-    # a second Gram-Schmidt pass: when eta is nearly colinear with xi the
-    # first leaves a residual whose relative error against xi is eps / s
-    resid -= np.vdot(xi, resid) * xi
-    s = np.linalg.norm(resid)
-    u = np.eye(d, dtype=np.complex128)
-    if s <= 1e-12:
-        return u + (c - 1.0) * np.outer(xi, xi.conj())
-    zeta = resid / s
-    # in the {xi, zeta} plane: xi -> c*xi + s*zeta, zeta -> -s*xi + conj(c)*zeta
-    u += np.outer(eta - xi, xi.conj())
-    u += np.outer(-s * xi + np.conj(c) * zeta - zeta, zeta.conj())
-    return u
+    return sum(two_plane_terms(xi[None], eta[None]))[0]
 
 
 def phase_align(xi, eta) -> np.ndarray:

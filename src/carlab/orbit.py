@@ -14,9 +14,9 @@ sequential on its own budget, so a trial's result does not depend on the
 others.  A finished trial keeps its slot with no budget left and adds no
 rows.  The single-pair oracles are the one-trial case.  Both objectives
 are evaluated in eta's frame, where a stabilizer element is
-diag(1, exp(iH)) and a trial's carrier is three constant matrices
-combined with the image phase, so a row costs one exp(iH) and one
-operator norm of a d x d matrix.
+diag(1, exp(iH)) and a trial's carrier is the three constant matrices of
+`linalg.two_plane_terms` combined with the image phase, so a row costs
+one exp(iH) and one operator norm of a d x d matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .linalg import (
     expi_hermitian,
     hermitian_from_params,
     operator_norms,
+    two_plane_terms,
     unit_vector_pair,
 )
 
@@ -88,35 +89,14 @@ def _frame(xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
     With E = [eta | Q], Q the QR complement of eta, a stabilizer element
     S = P_eta + Q W Q* is E diag(1, W) E*, and ||I - S B|| = ||S* - B||
-    for unitary S.  So each objective row is ||diag(1, W*) - E* B E||,
-    where B = two_plane_unitary(xi, z eta) for a unit phase z, and
-    E* B E = two_plane_unitary(v, z e_0) with v = E* xi.  Expanding that
-    map with r = e_0 - conj(v_0) v (plus a second Gram-Schmidt pass),
-    s = ||r|| and zeta = r / s gives z-free constants:
-    A = I - v v* - zeta zeta*, M1 = e_0 v*, M2 = (v_0 zeta - s v) zeta*;
-    and on the colinear branch (s <= 1e-12) A = I - v v*,
-    M1 = conj(v_0) v v*, M2 = 0.  Returns the (trials, d, d) stacks A, M1, M2.
+    for unitary S.  So each objective row is ||diag(1, W*) - E* B E||, where
+    B = two_plane_unitary(xi, z eta) and E* B E = two_plane_unitary(v, z e_0),
+    v = E* xi: the `two_plane_terms` of (v, e_0), as (trials, d, d) stacks.
     """
-    d = xis.shape[1]
     q = np.linalg.qr(etas[:, :, None], mode="complete")[0]
     frame = np.concatenate([etas[:, :, None], q[:, :, 1:]], axis=2)
     v = np.einsum("tji,tj->ti", frame.conj(), xis)
-    v0 = v[:, :1]
-    r = -np.conj(v0) * v
-    r[:, 0] += 1.0
-    # a second Gram-Schmidt pass, as in `two_plane_unitary`
-    r -= np.sum(v.conj() * r, axis=1, keepdims=True) * v
-    s = np.linalg.norm(r, axis=1, keepdims=True)
-    colinear = s <= 1e-12
-    zeta = np.divide(r, s, out=np.zeros_like(r), where=~colinear)
-
-    def outer(a, b):
-        return a[:, :, None] * b.conj()[:, None, :]
-
-    a = np.eye(d) - outer(v, v) - outer(zeta, zeta)
-    m1 = outer(np.where(colinear, np.conj(v0) * v, np.eye(d)[0]), v)
-    m2 = outer(v0 * zeta - s * v, zeta)
-    return a, m1, m2
+    return two_plane_terms(v, np.broadcast_to(np.eye(xis.shape[1])[0], v.shape))
 
 
 def _frame_norms(carriers: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -260,8 +240,7 @@ def _exact_image_objective(
     Evaluated in eta's frame (`_frame`), where the carrier xi -> eta of a
     trial is the fixed matrix A + M1 + M2.
     """
-    a, m1, m2 = _frame(xis, etas)
-    carriers = a + m1 + m2
+    carriers = sum(_frame(xis, etas))
 
     def objective(x: np.ndarray, trial: np.ndarray) -> np.ndarray:
         return _frame_norms(carriers[trial], x)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_count
 from .errors import DomainError, InvalidInputError
 
 HALF_PI = np.pi / 2.0
@@ -49,7 +50,7 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
-    n = np.arange(1, length + 1, dtype=np.float64)
+    n = np.arange(1, check_count(length, "sequence length") + 1, dtype=np.float64)
     if descriptor == "zero":
         values = np.zeros(length)
     elif descriptor == "harmonic":

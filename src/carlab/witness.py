@@ -17,12 +17,12 @@ Glimm and Kadison makes the two pure states unitarily equivalent.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CONTRACTION_SLACK, MAX_DIM, WITNESS_STRICTNESS, block_rows
+from .config import CONSTRUCTION_TOL, CONTRACTION_SLACK, DISTANCE_STRICTNESS, MAX_DIM
+from .config import WITNESS_STRICTNESS, block_rows, check_count
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -64,6 +64,21 @@ class UnitaryNet:
         return self.elements.shape[0]
 
 
+def _net_cap(dim: int, epsilon: float, size: int | None = None) -> int:
+    """Most elements a net of U(dim) may hold, once dim, a random net's size and epsilon pass."""
+    if dim < 1 or dim > MAX_DIM:
+        raise InvalidInputError(f"bad net dimension {dim}")
+    if size is not None and size < 1:
+        raise InvalidInputError("net size must be positive")
+    if not 0.0 < epsilon <= 1.0:
+        raise DomainError("net resolution must lie in (0, 1]")
+    cap = _NET_BYTES_CAP // (16 * dim * dim)
+    if size is not None and size + 1 > cap:
+        msg = f"random net at dim {dim} needs {size + 1} elements (cap {cap})"
+        raise SizeLimitError(msg, estimated_size=size + 1)
+    return cap
+
+
 def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int, float]:
     """Cube divisions n, phases m and proven radius of the smallest exhaustive net.
 
@@ -76,9 +91,7 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int, float]:
     2 pi k / m cover within 2 sin(pi / 2m).  A dim-2 net has over
     8 (sqrt(3) / epsilon)^3 elements: past the cap, no n is tried.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("net resolution must lie in (0, 1]")
-    cap = _NET_BYTES_CAP // (16 * dim * dim)
+    cap = _net_cap(dim, epsilon)
     spheres = [(0, 1, 0.0)] if dim == 1 else []
     if dim == 2 and epsilon >= math.sqrt(3.0) * (8.0 / cap) ** (1.0 / 3.0):
         first = 2 * math.floor(math.sqrt(3.0) / (2.0 * epsilon)) + 2
@@ -100,7 +113,7 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int, float]:
 
 
 def _check_all_unitary(elements: np.ndarray) -> None:
-    """Refuse a stack whose worst ||u*u - I||_F, over blocks of rows, exceeds 1e-9."""
+    """Refuse a stack whose worst ||u*u - I||_F, over row blocks, exceeds CONSTRUCTION_TOL."""
     dim = elements.shape[-1]
     step = block_rows(16 * dim * dim)
     worst = 0.0
@@ -110,7 +123,7 @@ def _check_all_unitary(elements: np.ndarray) -> None:
         gram -= np.eye(dim, dtype=np.complex128)
         # Frobenius norm dominates the operator norm
         worst = max(worst, float(np.sqrt(np.max(np.einsum("nij,nij->n", gram.conj(), gram).real))))
-    if worst > 1e-9:
+    if worst > CONSTRUCTION_TOL:
         raise NumericalInvariantError(f"net element off unitarity by {worst:.3e}")
 
 
@@ -153,8 +166,6 @@ def enumerate_net(dim: int, epsilon: float) -> UnitaryNet:
     the identity.  Other dims and nets over the byte cap are refused with a
     size-limit error: the signal to use a random net.
     """
-    if dim < 1 or dim > MAX_DIM:
-        raise InvalidInputError(f"bad net dimension {dim}")
     n, m, radius = exhaustive_net_plan(dim, epsilon)
     phases = np.exp(2j * np.pi * np.arange(m) / (dim * m))
     special = _su2_grid(n) if dim == 2 else np.ones((1, 1, 1), dtype=np.complex128)
@@ -175,18 +186,7 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     Used where no exhaustive net exists; its covering radius is only
     measured, by `net_density_report`, never proven.
     """
-    if dim < 1 or dim > MAX_DIM:
-        raise InvalidInputError(f"bad net dimension {dim}")
-    if size < 1:
-        raise InvalidInputError("net size must be positive")
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError("net resolution must lie in (0, 1]")
-    cap = _NET_BYTES_CAP // (16 * dim * dim)
-    if size + 1 > cap:
-        raise SizeLimitError(
-            f"random net at dim {dim} needs {size + 1} elements (cap {cap})",
-            estimated_size=float(size + 1) if size < sys.float_info.max else None,
-        )
+    _net_cap(dim, epsilon, size)
     rng = np.random.default_rng(seed)
     elements = np.empty((size + 1, dim, dim), dtype=np.complex128)
     elements[0] = np.eye(dim)
@@ -331,7 +331,7 @@ def net_density_report(net: UnitaryNet, probes: int = 100, seed: int = 0) -> Den
     probe drawn by the net's seed is a net element, at distance 0.
     """
     rng = np.random.default_rng(seed)
-    dists = np.empty(probes)
+    dists = np.empty(check_count(probes, "density probe count"))
     for lo, block in _haar_blocks(net.dim, rng, probes):
         dists[lo : lo + len(block)] = _nearest(net.elements, block)[1]
     return DensityReport(
@@ -452,5 +452,5 @@ def distance_bound_check(phi: VectorState, psi: VectorState, u) -> DistanceBound
     """
     dist = state_distance(phi, pullback(psi, u))
     return DistanceBound(
-        norm_distance=dist, below_two=bool(dist < 2.0 - 1e-9)
+        norm_distance=dist, below_two=bool(dist < 2.0 - DISTANCE_STRICTNESS)
     )

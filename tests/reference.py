@@ -1,13 +1,14 @@
 """Reference helpers that only the tests use.
 
 Dense or scalar constructions the package itself never needs: rank-one
-projectors and parametrized rotations to build expected values from, the
+projectors, parametrized rotations, and the explicit two-plane unitary
+and the vector pairs it is tested on, to build expected values from; the
 test-set gap sup_a |phi(a) - psi(u a u*)| the witness search is checked
 against, the writer of the angle-file format the package reads, the
 level-to-dimension map, the sequential per-pair compass search the
 lockstep oracle search is checked against, and the whole-chunk witness
-scan the growing-block scan is checked against.  Each keeps the validation it
-had in the package.
+scan the growing-block scan is checked against.  Each keeps the
+validation it had in the package.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import numpy as np
 
 from carlab.config import CONTRACTION_SLACK, WITNESS_STRICTNESS
 from carlab.errors import DomainError, InvalidInputError
-from carlab.linalg import as_square_matrix, as_unit_vector, operator_norm
+from carlab.linalg import (
+    as_square_matrix,
+    as_unit_vector,
+    operator_norm,
+    random_unit_vector,
+    unit_vector_pair,
+)
 from carlab.orbit import _MAX_RESTARTS, _STEP_INIT, _STEP_MIN, SearchResult
 from carlab.sequences import validate_angles
 from carlab.states import VectorState
@@ -43,6 +50,49 @@ def rotation_unitary(t: float) -> np.ndarray:
         raise DomainError(f"rotation parameter {t!r} outside [-1, 1]")
     s = np.sqrt(max(1.0 - t * t, 0.0))
     return np.array([[t, -s], [s, t]], dtype=np.complex128)
+
+
+def two_plane_reference(xi, eta) -> np.ndarray:
+    """Unitary sending xi to eta, identity off their span, written out.
+
+    u = I + (eta - xi) xi* + (-s xi + conj(c) zeta - zeta) zeta* with
+    c = <xi|eta>, zeta the unit residual of eta against xi and s its norm;
+    for colinear inputs (residual norm at most 1e-12) u = I + (c - 1) xi xi*.
+    The package's `two_plane_terms` is checked against it, so it shares no
+    code with that kernel.
+    """
+    xi, eta = unit_vector_pair(xi, eta)
+    c = np.vdot(xi, eta)
+    resid = eta - c * xi
+    # a second Gram-Schmidt pass, for nearly colinear inputs
+    resid -= np.vdot(xi, resid) * xi
+    s = np.linalg.norm(resid)
+    u = np.eye(xi.shape[0], dtype=np.complex128)
+    if s <= 1e-12:
+        return u + (c - 1.0) * np.outer(xi, xi.conj())
+    zeta = resid / s
+    u += np.outer(eta - xi, xi.conj())
+    u += np.outer(-s * xi + np.conj(c) * zeta - zeta, zeta.conj())
+    return u
+
+
+def two_plane_pair(kind: str, log_s: float, dim: int, rng: np.random.Generator):
+    """A "random", exactly "colinear" or "near"ly colinear pair of unit vectors.
+
+    A near pair is eta = c xi + s w with s = 10^log_s, w a unit vector
+    orthogonal to xi and |c|^2 + s^2 = 1.
+    """
+    xi = random_unit_vector(dim, rng)
+    if kind == "random":
+        return xi, random_unit_vector(dim, rng)
+    if kind == "colinear":
+        return xi, np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi
+    s = 10.0**log_s
+    w = random_unit_vector(dim, rng)
+    w -= np.vdot(xi, w) * xi
+    w -= np.vdot(xi, w) * xi
+    w /= np.linalg.norm(w)
+    return xi, np.sqrt(1.0 - s * s) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi + s * w
 
 
 def sup_gap(

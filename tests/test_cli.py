@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from carlab import cli, linalg, witness
+from carlab import cli, config, linalg, witness
+from carlab.errors import SizeLimitError
 from carlab.seeding import derive_seeds
 
 
@@ -256,6 +257,48 @@ def test_random_net_over_size_cap_refused(tmp_path, capsys):
     assert record["error"] == "size-limit"
     assert record["estimated_size"] == 100000001
     assert not out.exists()
+
+
+_HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--length", _HUGE],
+        ["separation", "--alpha", "zero", "--beta", "zero", "--search-limit", _HUGE],
+        ["cauchy-gaps", "--alpha", "zero", "--beta", "zero", "--levels", _HUGE],
+        ["product-test", "--family", "geometric", "--terms", _HUGE],
+        ["fsigma-search", "--dim", "2", "--pairs", "1", "--epsilon", "0.9",
+         "--density-check", "--density-probes", _HUGE],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_absurd_counts_are_size_limit_records(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert _timed_main(argv + ["--output", str(out)]) == 3
+    record = _only_error_record(capsys)
+    assert record["error"] == "size-limit"
+    assert record["exit_code"] == 3
+    assert record["estimated_size"] == 1e20
+    assert not out.exists()
+
+
+def test_count_past_float_range_refused_without_estimate(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = _timed_main(["product-test", "--family", "telescoping", "--terms", str(10**400),
+                        "--output", str(out)])
+    assert code == 3
+    record = _only_error_record(capsys)
+    assert record["error"] == "size-limit"
+    assert "estimated_size" not in record
+    assert not out.exists()
+
+
+def test_count_cap_boundary():
+    assert config.check_count(config.MAX_COUNT, "count") == config.MAX_COUNT
+    with pytest.raises(SizeLimitError):
+        config.check_count(config.MAX_COUNT + 1, "count")
 
 
 def _only_error_record(capsys):

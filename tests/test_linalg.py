@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from carlab import intertwiner, linalg, orbit, states
 from carlab.errors import DomainError, InvalidInputError
-from reference import projector, rotation_unitary
+from reference import projector, rotation_unitary, two_plane_pair, two_plane_reference
 
 
 def test_operator_norm_basics():
@@ -53,6 +53,14 @@ def test_trace_norm_projection_difference():
         assert abs(linalg.trace_norm(diff) - oracle) <= 1e-12
         c = abs(np.vdot(xi, eta))
         assert abs(linalg.trace_norm(diff) - 2 * np.sqrt(1 - c * c)) <= 1e-8
+
+
+def test_trace_norm_refuses_non_hermitian():
+    # the only caller passes an exactly Hermitian difference of projections
+    with pytest.raises(InvalidInputError):
+        linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidInputError):
+        linalg.trace_norm(np.diag([1.0, 1.0j]))
 
 
 def test_is_unitary():
@@ -282,6 +290,43 @@ def test_two_plane_unitary_nearly_colinear(dim, log_s, seed):
     u = linalg.two_plane_unitary(xi, eta)
     assert linalg.operator_norm(u.conj().T @ u - np.eye(dim)) <= 1e-10
     assert np.linalg.norm(u @ xi - eta) <= 1e-9
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    dim=st.integers(2, 6),
+    pairs=st.lists(
+        st.tuples(
+            st.sampled_from(["random", "colinear", "near"]),
+            # at s = 1e-12 the kernel and the reference may round s to
+            # opposite sides of the colinear threshold and take different,
+            # valid branches
+            st.floats(-15.0, -1.0).filter(lambda v: abs(v + 12.0) > 1e-3),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    phase=st.floats(0.0, 2 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_plane_terms_rows_and_reference(dim, pairs, phase, seed):
+    rng = np.random.default_rng(seed)
+    xis, etas = map(np.stack, zip(*[two_plane_pair(kind, log_s, dim, rng) for kind, log_s in pairs]))
+    z = np.exp(1j * phase)
+    terms = linalg.two_plane_terms(xis, etas)
+    for k, (xi, eta) in enumerate(zip(xis, etas)):
+        # a row's terms do not depend on the rest of the stack, bit for bit
+        alone = linalg.two_plane_terms(xis[k : k + 1], etas[k : k + 1])
+        for stacked, single in zip(terms, alone):
+            assert stacked[k].tobytes() == single[0].tobytes()
+        got = terms[0][k] + z * terms[1][k] + np.conj(z) * terms[2][k]
+        assert np.max(np.abs(got.conj().T @ got - np.eye(dim))) <= 1e-14
+        # zeta = r / s carries a rounding error of about eps / s in either
+        # construction, which moves the map on zeta's line by as much
+        s = np.linalg.norm(eta - np.vdot(xi, eta) * xi)
+        slack = 16 * np.finfo(np.float64).eps / s if s > 1e-12 else 0.0
+        want = two_plane_reference(xi, z * eta)
+        assert np.max(np.abs(got - want)) <= max(1e-14, slack)
 
 
 def test_two_plane_unitary_dimension_mismatch():

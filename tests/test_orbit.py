@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from carlab import cli, config, linalg, orbit
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
-from reference import search_minimum
+from reference import search_minimum, two_plane_pair, two_plane_reference
 
 
 def _aligned_pair(dim, rng):
@@ -184,7 +184,7 @@ def _scalar_objective(xi, eta, x, state):
     q = np.linalg.qr(eta.reshape(d, 1), mode="complete")[0][:, 1:]
     proj = np.outer(eta, eta.conj())
     target, params = (np.exp(1j * x[0]) * eta, x[1:]) if state else (eta, x)
-    base = linalg.two_plane_unitary(xi, target)
+    base = two_plane_reference(xi, target)
     w = linalg.expi_hermitian(linalg.hermitian_from_params(params, d - 1))
     u = (proj + q @ w @ q.conj().T) @ base
     return linalg.operator_norm(np.eye(d) - u)
@@ -207,7 +207,7 @@ def test_batched_objective_equals_scalar_composition(dim, state):
     # the rows belong to the three trials in turn, so every trial sees every phase
     trial = np.arange(stack.shape[0]) % 3
     objective = build(xis, etas)
-    for _ in range(2):  # the second call reuses the first one's state carriers
+    for _ in range(2):  # a call leaves the trials' carrier terms as they were
         got = objective(stack, trial)
         assert got.shape == (stack.shape[0],)
         want = [_scalar_objective(xis[k], etas[k], row, state) for row, k in zip(stack, trial)]
@@ -224,31 +224,19 @@ def _eta_frame(eta):
 @given(
     dim=st.integers(2, 4),
     kind=st.sampled_from(["random", "colinear", "near"]),
-    # at s = 1e-12 the two constructions may round s to opposite sides of
-    # the colinear threshold and take different, equally valid branches
+    # at s = 1e-12 the kernel and the reference may round s to opposite
+    # sides of the colinear threshold and take different, valid branches
     log_s=st.floats(-15.0, -1.0).filter(lambda v: abs(v + 12.0) > 1e-3),
     phase=st.floats(0.0, 2 * np.pi),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frame_carrier_equals_two_plane_unitary_in_eta_frame(dim, kind, log_s, phase, seed):
-    rng = np.random.default_rng(seed)
-    xi = linalg.random_unit_vector(dim, rng)
-    if kind == "random":
-        eta = linalg.random_unit_vector(dim, rng)
-    elif kind == "colinear":
-        eta = np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi
-    else:  # eta = c xi + s w with w orthogonal to xi and |c|^2 + s^2 = 1
-        s = 10.0**log_s
-        w = linalg.random_unit_vector(dim, rng)
-        w -= np.vdot(xi, w) * xi
-        w -= np.vdot(xi, w) * xi
-        w /= np.linalg.norm(w)
-        eta = np.sqrt(1.0 - s * s) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi + s * w
+    xi, eta = two_plane_pair(kind, log_s, dim, np.random.default_rng(seed))
     z = np.exp(1j * phase)
     a, m1, m2 = orbit._frame(xi[None], eta[None])
     got = a[0] + z * m1[0] + np.conj(z) * m2[0]
     e = _eta_frame(eta)
-    want = e.conj().T @ linalg.two_plane_unitary(xi, z * eta) @ e
+    want = e.conj().T @ two_plane_reference(xi, z * eta) @ e
     assert np.max(np.abs(got.conj().T @ got - np.eye(dim))) <= 1e-14
     # zeta = r / s carries a rounding error of about eps / s in either
     # construction, which moves the carrier on zeta's line by as much

@@ -331,6 +331,24 @@ def test_net_resolution_validation():
         witness.random_net(2, 0.5, size=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "request_net, error, message",
+    [
+        # the dimension first, then a random net's size, then the resolution
+        (lambda: witness.enumerate_net(0, 2.0), InvalidInputError, "bad net dimension"),
+        (lambda: witness.exhaustive_net_plan(0, 2.0), InvalidInputError, "bad net dimension"),
+        (lambda: witness.random_net(0, 2.0, size=0, seed=0), InvalidInputError, "bad net dimension"),
+        (lambda: witness.random_net(2, 2.0, size=0, seed=0), InvalidInputError, "net size"),
+        (lambda: witness.exhaustive_net_plan(2, 2.0), DomainError, "resolution"),
+        # and the resolution before the byte cap
+        (lambda: witness.random_net(2, 2.0, size=10**9, seed=0), DomainError, "resolution"),
+    ],
+)
+def test_net_request_checks_run_in_order(request_net, error, message):
+    with pytest.raises(error, match=message):
+        request_net()
+
+
 def test_test_element_net_contractions():
     net = witness.build_test_element_net(4, n_random=10, seed=3)
     assert net.dim == 4
