@@ -3,9 +3,10 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 26 invocations (the seven README commands, the ten
+Runs a fixed list of 27 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
-runs, `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
+runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
+`min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
 `fsigma-search`, the dim-16 and dim-4 exhaustive-net refusals, a dim-2
 exhaustive net at `--epsilon 0.2`, and a 20,000-element dim-4 random net
 whose 200 density probes take many slices of exact norms), each with
@@ -54,6 +55,7 @@ INVOCATIONS = [
     "fsigma-search --dim 2 --net random --net-size 5000 --pairs 50 --epsilon 0.4"
     " --density-check --seed 1",
     "reduce --alpha harmonic --beta zero --levels 8 --phase-policy eigenvalue-one",
+    "reduce --alpha power:0.55 --beta zero --levels 4 --length 4000",
     "cauchy-gaps --alpha harmonic --beta zero --levels 8 --max-span 6"
     " --phase-policy eigenvalue-one",
     "min-distance --dim 3 --trials 20 --seed 7",

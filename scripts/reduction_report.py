@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Chain experiments for a few angle families: per-level tables, block-gap
+"""Chain experiments for a few angle families: per-level tables with the
+trend classification and its three dyadic block ratios, block-gap
 honesty reports, and the separation trajectory."""
 
 import json
@@ -25,8 +26,10 @@ def main() -> int:
         if code != 0:
             return code
         summary = json.loads(path.read_text())["summary"]
+        ratios = [summary[f"{series}_block_ratio"] for series in ("l2", "half_angle", "log_product")]
+        shown = ", ".join("unbounded" if r is None else f"{r:.3f}" for r in ratios)
         print(f"{alpha} vs {beta}: {summary['classification']} "
-              f"(overlap product {summary['overlap_product']:.4g})")
+              f"(block ratios {shown}; overlap product {summary['overlap_product']:.4g})")
 
         path = OUT / f"cauchy_gaps_{tag}.json"
         code = cli.main(

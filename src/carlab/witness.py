@@ -38,7 +38,7 @@ from .linalg import (
 )
 from .states import VectorState, pullback, state_distance
 
-# 128 MB of complex128 elements: 2,000,000 unitaries at dim 2
+# 128 MB of complex128 elements of a unitary or test-element net: 2,000,000 at dim 2
 _NET_BYTES_CAP = 128_000_000
 _CHUNK = 8192
 _FIRST_BLOCK = 64
@@ -351,9 +351,13 @@ class TestElementNet:
 
 
 def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestElementNet:
-    """Matrix units plus seeded random Hermitian contractions."""
+    """Matrix units plus seeded random Hermitian contractions, under the net byte cap."""
     if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad test-net dimension {dim}")
+    cap = _NET_BYTES_CAP // (16 * dim * dim)
+    if dim * dim + n_random > cap:
+        msg = f"test net at dim {dim} needs {dim * dim + n_random} elements (cap {cap})"
+        raise SizeLimitError(msg, estimated_size=dim * dim + n_random)
     rng = np.random.default_rng(seed)
     # unit (i, j) is element i * dim + j
     units = np.eye(dim * dim, dtype=np.complex128).reshape(dim * dim, dim, dim)

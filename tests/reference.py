@@ -6,9 +6,10 @@ and the vector pairs it is tested on, to build expected values from; the
 test-set gap sup_a |phi(a) - psi(u a u*)| the witness search is checked
 against, the writer of the angle-file format the package reads, the
 level-to-dimension map, the sequential per-pair compass search the
-lockstep oracle search is checked against, and the whole-chunk witness
-scan the growing-block scan is checked against.  Each keeps the
-validation it had in the package.
+lockstep oracle search is checked against, the whole-chunk witness
+scan the growing-block scan is checked against, and the one-step-at-a-time
+splitmix64 loop the vectorized seed stream is checked against.  Each
+keeps the validation it had in the package.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from carlab.linalg import (
     unit_vector_pair,
 )
 from carlab.orbit import _MAX_RESTARTS, _STEP_INIT, _STEP_MIN, SearchResult
+from carlab.seeding import check_seed
 from carlab.sequences import validate_angles
 from carlab.states import VectorState
 from carlab.truncation import check_level
@@ -125,6 +127,20 @@ def write_angle_file(path, values) -> None:
     """Write the plain-text sequence format: one decimal angle per line."""
     arr = validate_angles(values)
     Path(path).write_text("".join(format(float(v), ".17g") + "\n" for v in arr))
+
+
+def derive_seeds_by_loop(root: int, count: int) -> list[int]:
+    """The first `count` splitmix64 outputs from state `root`, one step at a time."""
+    mask = (1 << 64) - 1
+    state = check_seed(root)
+    seeds = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        seeds.append(z ^ (z >> 31))
+    return seeds
 
 
 def level_dim(n: int) -> int:

@@ -89,6 +89,41 @@ def test_reduce_equivalent_trend(tmp_path):
     assert set(doc["rows"][0]) == keys
 
 
+def test_reduce_slow_convergence_is_equivalent(tmp_path):
+    # sum n^-1.1 converges, though its running product is 0.038 at n = 4000
+    code, out = _run(
+        tmp_path,
+        ["reduce", "--alpha", "power:0.55", "--beta", "zero", "--levels", "4",
+         "--length", "4000"],
+        "reduce.json",
+    )
+    assert code == 0
+    summary = _load(out)["summary"]
+    assert summary["classification"] == "equivalent-trend"
+    assert 0.0 < summary["overlap_product"] < 0.05
+    assert list(summary) == [
+        "classification", "l2_total", "l2_block_ratio", "half_angle_total",
+        "half_angle_block_ratio", "overlap_product", "log_overlap_product",
+        "log_product_block_ratio", "diagnostic_length",
+    ]
+
+
+def test_reduce_unbounded_block_ratio_is_null(tmp_path):
+    # a file sequence zero on [16, 32) and not on [32, 64): strict JSON, null ratios
+    angles = tmp_path / "angles.txt"
+    angles.write_text("".join("0.2\n" if n == 41 else "0.0\n" for n in range(1, 65)))
+    code, out = _run(
+        tmp_path,
+        ["reduce", "--alpha", f"file:{angles}", "--beta", "zero", "--levels", "3",
+         "--length", "64"],
+        "reduce.json",
+    )
+    assert code == 0
+    summary = json.loads(out.read_text(), parse_constant=_reject_constant)["summary"]
+    assert summary["classification"] == "inequivalent-trend"
+    assert summary["l2_block_ratio"] is None
+
+
 def test_reduce_csv_format(tmp_path):
     code, out = _run(
         tmp_path,
@@ -284,6 +319,27 @@ def test_absurd_counts_are_size_limit_records(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-distance", "--trials", _HUGE],
+        ["product-distance", "--pairs", _HUGE],
+        ["fsigma-search", "--dim", "2", "--epsilon", "0.9", "--pairs", _HUGE],
+        ["fsigma-search", "--dim", "2", "--epsilon", "0.9", "--pairs", "1",
+         "--test-elements", _HUGE],
+    ],
+    ids=["min-distance-trials", "product-distance-pairs", "fsigma-search-pairs",
+         "fsigma-search-test-elements"],
+)
+def test_absurd_seed_and_test_element_counts_are_size_limit_records(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert _timed_main(argv + ["--output", str(out)]) == 3
+    record = _only_error_record(capsys)
+    assert record["error"] == "size-limit"
+    assert record["estimated_size"] == pytest.approx(1e20)
+    assert not out.exists()
+
+
 def test_count_past_float_range_refused_without_estimate(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = _timed_main(["product-test", "--family", "telescoping", "--terms", str(10**400),
@@ -434,8 +490,7 @@ def test_rerun_byte_identical(tmp_path):
         (["min-distance"], ["dim", "trials", "budget"]),
         (["product-distance"], ["pairs", "budget"]),
         (["reduce", "--alpha", "zero", "--beta", "zero"],
-         ["alpha", "beta", "levels", "length", "phase_policy", "min_length",
-          "sum_tolerance", "product_floor"]),
+         ["alpha", "beta", "levels", "length", "phase_policy"]),
         (["cauchy-gaps", "--alpha", "zero", "--beta", "zero"],
          ["alpha", "beta", "levels", "max_span", "phase_policy"]),
         (["separation", "--alpha", "zero", "--beta", "zero"],
@@ -466,13 +521,14 @@ def test_config_key_order(argv, keys):
         ["cauchy-gaps", "--alpha", "harmonic", "--beta", "zero", "--levels", "1"],
         ["product-test", "--family", "geometric", "--terms", "0"],
         ["separation", "--alpha", "invsqrt", "--beta", "zero", "--threshold", "nan"],
-        ["reduce", "--alpha", "zero", "--beta", "zero", "--sum-tolerance", "inf"],
-        ["reduce", "--alpha", "zero", "--beta", "zero", "--product-floor", "-inf"],
+        # fewer terms than the classifier's two dyadic blocks need
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--levels", "3", "--length", "15"],
+        # the classifier has no knobs left: a removed flag is refused, not ignored
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--sum-tolerance", "1e-6"],
         ["reduce", "--alpha", "zero", "--beta", "zero", "--no-such-flag"],
         ["fsigma-search", "--test-elements", "-3"],
-        ["reduce", "--alpha", "zero", "--beta", "zero", "--min-length", "0"],
-        ["reduce", "--alpha", "zero", "--beta", "zero", "--levels", "3",
-         "--length", "-5", "--min-length", "-1"],
+        ["reduce", "--alpha", "power:x", "--beta", "zero"],
+        ["reduce", "--alpha", "zero", "--beta", "zero", "--levels", "3", "--length", "-5"],
         ["reduce", "--alpha", "zero", "--beta", "zero", "--levels", "3",
          "--length", "2"],
         ["separation", "--alpha", "invsqrt", "--beta", "zero", "--search-limit", "-1"],

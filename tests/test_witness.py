@@ -357,6 +357,19 @@ def test_test_element_net_contractions():
         assert linalg.operator_norm(a) <= 1.0 + 1e-9
 
 
+def test_test_element_net_cap_refused_before_drawing():
+    # 128 MB of complex128 elements: 2,000,000 at dim 2, 31,250 at dim 16
+    with mock.patch.object(witness, "random_hermitian_contraction") as draw:
+        with pytest.raises(SizeLimitError) as info:
+            witness.build_test_element_net(2, n_random=2_000_000 - 3)
+        assert info.value.estimated_size == 2_000_001
+        with pytest.raises(SizeLimitError):
+            witness.build_test_element_net(16, n_random=31_250 - 255)
+        with pytest.raises(SizeLimitError):
+            witness.build_test_element_net(2, n_random=10**20)
+    draw.assert_not_called()
+
+
 def test_witness_search_identical_states():
     rng = np.random.default_rng(20)
     psi = VectorState(linalg.random_unit_vector(2, rng))
