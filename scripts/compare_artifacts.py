@@ -17,7 +17,9 @@ the output path) are equal, and whether the artifacts are
 byte-identical.  When they are not, it prints, per config key, summary
 key and row column, the largest |new - old| where that is not 0, every
 change of value type (CSV cells are typed by their text) and every added
-or removed key.
+or removed key.  Each line also gives both trees' peak RSS (from
+`os.wait4`, in MB), so that a change in working memory shows run by run;
+it plays no part in the exit status.
 
 Exit status 0 means equal exit codes, stderr and stdout, and equal
 values under every shared key; type changes and added keys are reported
@@ -74,16 +76,27 @@ _INT = re.compile(r"[+-]?\d+")
 _ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str, bytes | None]:
-    """Exit code, stdout with the output path masked, stderr, artifact bytes."""
+def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str, bytes | None, float]:
+    """Exit code, stdout with the output path masked, stderr, artifact bytes, peak RSS MB.
+
+    `os.wait4` gives the child's own peak RSS, not the largest of all
+    children so far.
+    """
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(_ONE_THREAD, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "carlab.cli", *argv, "--output", str(out)],
-        cwd=out.parent, env=env, capture_output=True, text=True, check=False,
-    )
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "carlab.cli", *argv, "--output", str(out)],
+            cwd=out.parent, env=env, stdout=stdout, stderr=stderr,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        texts = []
+        for fh in (stdout, stderr):
+            fh.seek(0)
+            texts.append(fh.read().decode())
     data = out.read_bytes() if out.exists() else None
-    return proc.returncode, proc.stdout.replace(str(out), "<output>"), proc.stderr, data
+    code, rss = os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0
+    return code, texts[0].replace(str(out), "<output>"), texts[1], data, rss
 
 
 def _csv_value(text: str):
@@ -196,6 +209,7 @@ def main(argv: list[str]) -> int:
                     lines, differs = compare_artifacts(old[3], new[3], fmt)
                     head += ", values DIFFER" if differs else ", bytes differ, values equal"
                     failed |= differs
+                head += f", peak RSS {old[4]:.1f}/{new[4]:.1f} MB"
                 print(f"[{fmt:4}] {invocation}: {head}")
                 for line in lines:
                     print(f"         {line}")

@@ -19,10 +19,12 @@ CONSTRUCTION_TOL = 1e-9  # a built unitary's miss of unitarity or of its carried
 WITNESS_STRICTNESS = 1e-12
 DISTANCE_STRICTNESS = 1e-9  # margin by which a witness's distance must clear 2
 MAX_COUNT = 1 << 24
-# one working array of a blocked kernel: a drawn or checked block of
-# unitaries, a float (probes x elements) block of the nearest-element
-# scan, or the stacked polls of a block of search trials
-BLOCK_BYTES = 1 << 22
+# One working array of a blocked kernel, a few of which fit a 2 MiB L2
+# cache together: a drawn block of Haar unitaries or test contractions, a
+# block of net elements checked for unitarity, a float (probes x
+# elements) tile of the nearest-element scan or a slice of its exact-norm
+# pairs, or the stacked polls of a block of search trials.
+BLOCK_BYTES = 1 << 18
 
 
 def block_rows(row_bytes: int) -> int:

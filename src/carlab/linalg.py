@@ -250,11 +250,20 @@ def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_hermitian_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix rescaled to operator norm exactly 1."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (g + g.conj().T) / 2.0
-    nrm = operator_norm(h)
-    if nrm < 1e-12:
-        return np.eye(dim, dtype=np.complex128)
-    return h / nrm
+def random_hermitian_contraction(
+    dim: int, rng: np.random.Generator, count: int | None = None
+) -> np.ndarray:
+    """Random Hermitian matrix rescaled to operator norm exactly 1.
+
+    The norm is the top eigenvalue of h*h, as in `operator_norm`; a matrix
+    of norm below 1e-12 is replaced by the identity.  `count` draws a stack
+    from the same stream as `count` single calls.
+    """
+    g = rng.normal(size=(1 if count is None else count, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    h = (g + g.conj().transpose(0, 2, 1)) / 2.0
+    nrm = np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)[:, -1], 0.0))
+    small = nrm < 1e-12
+    h[small], nrm[small] = np.eye(dim), 1.0
+    h /= nrm[:, None, None]
+    return h[0] if count is None else h

@@ -23,16 +23,10 @@ import numpy as np
 
 from .config import CONSTRUCTION_TOL, CONTRACTION_SLACK, DISTANCE_STRICTNESS, MAX_DIM
 from .config import WITNESS_STRICTNESS, block_rows, check_count
-from .errors import (
-    DomainError,
-    InvalidInputError,
-    NumericalInvariantError,
-    SizeLimitError,
-)
+from .errors import DomainError, InvalidInputError, NumericalInvariantError, SizeLimitError
 from .linalg import (
     as_square_matrix,
     haar_unitary,
-    operator_norm,
     operator_norms,
     random_hermitian_contraction,
 )
@@ -127,15 +121,16 @@ def _check_all_unitary(elements: np.ndarray) -> None:
         raise NumericalInvariantError(f"net element off unitarity by {worst:.3e}")
 
 
-def _haar_blocks(dim: int, rng: np.random.Generator, count: int):
-    """`count` Haar unitaries as (offset, block) pairs within the block budget.
+def _draw_blocks(draw, dim: int, rng: np.random.Generator, count: int):
+    """`count` matrices of `draw(dim, rng, count=k)` as (offset, block) pairs within the budget.
 
-    `haar_unitary` reads its stream in order, so the blocks are those of a
-    single draw, without its transient memory of about 5x the stack.
+    `haar_unitary` and `random_hermitian_contraction` read their stream in
+    order, so the blocks are those of a single draw; as a draw peaks at
+    about 5x its stack, a block takes a quarter of the budget.
     """
-    step = block_rows(16 * dim * dim)
+    step = block_rows(64 * dim * dim)
     for lo in range(0, count, step):
-        yield lo, haar_unitary(dim, rng, count=min(step, count - lo))
+        yield lo, draw(dim, rng, count=min(step, count - lo))
 
 
 def _su2_grid(n: int) -> np.ndarray:
@@ -170,6 +165,7 @@ def enumerate_net(dim: int, epsilon: float) -> UnitaryNet:
     phases = np.exp(2j * np.pi * np.arange(m) / (dim * m))
     special = _su2_grid(n) if dim == 2 else np.ones((1, 1, 1), dtype=np.complex128)
     elements = (phases[:, None, None, None] * special).reshape(-1, dim, dim)
+    del special  # the grid is not held through the unitarity check
     _check_all_unitary(elements)
     return UnitaryNet(
         dim=dim,
@@ -190,15 +186,10 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     rng = np.random.default_rng(seed)
     elements = np.empty((size + 1, dim, dim), dtype=np.complex128)
     elements[0] = np.eye(dim)
-    for lo, block in _haar_blocks(dim, rng, size):
+    for lo, block in _draw_blocks(haar_unitary, dim, rng, size):
         _check_all_unitary(block)
         elements[1 + lo : 1 + lo + len(block)] = block
-    return UnitaryNet(
-        dim=dim,
-        resolution=float(epsilon),
-        mode="random",
-        elements=elements,
-    )
+    return UnitaryNet(dim=dim, resolution=float(epsilon), mode="random", elements=elements)
 
 
 def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,8 +199,10 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     then imaginary parts, so Re <a e_j, b e_j> is a dot product of rows;
     the squared norms come as a (d, k) array.
     """
-    cols = np.concatenate([a.real, a.imag], axis=1).transpose(2, 0, 1)
-    cols = np.ascontiguousarray(cols)
+    d = a.shape[-1]
+    cols = np.empty((d, a.shape[0], 2 * d))
+    cols[..., :d] = a.real.transpose(2, 0, 1)
+    cols[..., d:] = a.imag.transpose(2, 0, 1)
     return cols, np.einsum("jkx,jkx->jk", cols, cols)
 
 
@@ -232,7 +225,7 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     are computed only for (element, probe) pairs that can still win.  The
     largest column norm of N - u bounds ||N - u|| from below; its square
     is max_j ||N e_j||^2 + ||u e_j||^2 - 2 Re <N e_j, u e_j>, d GEMMs over
-    all pairs of a chunk.  A pair is normed exactly only while that bound,
+    all pairs of a tile.  A pair is normed exactly only while that bound,
     less a rounding slack scaled by the column norms, is within the probe's
     reach: an exact distance already taken.  The reach starts at the lesser
     of the best distance of earlier chunks and that of the chunk's
@@ -242,9 +235,12 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     reach to their least distance; of the rest, only those whose bound is
     still within it are normed.  Every pair left out is strictly farther
     than some normed one, so it can neither win nor tie.
+
+    Element chunks of `_CHUNK` run outside and probe tiles inside, so a
+    chunk's columns are formed once; a tile's float (probe, element) arrays,
+    allocated once per chunk, stay within the block budget.
     """
-    n, d = elements.shape[0], elements.shape[-1]
-    count = probes.shape[0]
+    n, d, count = elements.shape[0], elements.shape[-1], probes.shape[0]
     best = np.full(count, np.inf)
     index = np.zeros(count, dtype=np.intp)
     # Rounding moves the squared bound by about 2d eps and the squared exact
@@ -253,22 +249,25 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     slack = 64.0 * d * d * np.finfo(np.float64).eps
     chunk = min(n, _CHUNK)
     step = block_rows(8 * chunk)
-    pairs = block_rows(16 * d * d)
-    for plo in range(0, count, step):
-        u = probes[plo : plo + step]
-        u_cols, u_sq = _columns(u)
-        u_sq_less = u_sq - slack * u_sq.max(axis=0)
-        near, near_idx = best[plo : plo + step], index[plo : plo + step]
-        every = np.arange(len(u))
-        for lo in range(0, n, chunk):
-            block = elements[lo : lo + chunk]
-            cols, sq = _columns(block)
-            # (probe, element) blocks, so each probe's scan runs along a row;
-            # `exact` holds each column's squared norms until the exact pass.
-            # The slack is taken off the squared column norms, not the tile.
-            sq_less = sq - slack * sq.max(axis=0)
-            bound = np.zeros((len(u), len(block)))
-            exact = np.empty_like(bound)
+    # a slice forms about four (pairs, d, d) complex arrays: operands, differences, Gram matrices
+    pairs = block_rows(64 * d * d)
+    for lo in range(0, n, chunk):
+        block = elements[lo : lo + chunk]
+        cols, sq_less = _columns(block)
+        # The slack is taken off the squared column norms, not the tile.
+        sq_less -= slack * sq_less.max(axis=0)
+        # (probe, element) tiles, so each probe's scan runs along a row;
+        # `exact` holds each column's squared norms until the exact pass.
+        bound = np.empty((min(step, count), len(block)))
+        exact = np.empty_like(bound)
+        for plo in range(0, count, step):
+            u = probes[plo : plo + step]
+            u_cols, u_sq_less = _columns(u)
+            u_sq_less -= slack * u_sq_less.max(axis=0)
+            near, near_idx = best[plo : plo + step], index[plo : plo + step]
+            every = np.arange(len(u))
+            bound, exact = bound[: len(u)], exact[: len(u)]  # only the last tile is shorter
+            bound.fill(0.0)
             for j in range(d):
                 np.matmul(u_cols[j], cols[j].T, out=exact)
                 exact *= -2.0
@@ -302,6 +301,7 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
             win = dist < near
             near[win] = dist[win]
             near_idx[win] = lo + i[win]
+        del cols, sq_less, bound, exact  # before the next chunk's are formed
     return index, best
 
 
@@ -330,9 +330,11 @@ def net_density_report(net: UnitaryNet, probes: int = 100, seed: int = 0) -> Den
     The probes must come from a stream independent of the net's own: a
     probe drawn by the net's seed is a net element, at distance 0.
     """
+    if probes < 1:
+        raise InvalidInputError(f"density probe count {probes} is not positive")
     rng = np.random.default_rng(seed)
     dists = np.empty(check_count(probes, "density probe count"))
-    for lo, block in _haar_blocks(net.dim, rng, probes):
+    for lo, block in _draw_blocks(haar_unitary, net.dim, rng, probes):
         dists[lo : lo + len(block)] = _nearest(net.elements, block)[1]
     return DensityReport(
         probes=probes,
@@ -354,18 +356,21 @@ def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestE
     """Matrix units plus seeded random Hermitian contractions, under the net byte cap."""
     if dim < 1 or dim > MAX_DIM:
         raise InvalidInputError(f"bad test-net dimension {dim}")
+    if n_random < 0:
+        raise InvalidInputError(f"random test-element count {n_random} is negative")
     cap = _NET_BYTES_CAP // (16 * dim * dim)
     if dim * dim + n_random > cap:
         msg = f"test net at dim {dim} needs {dim * dim + n_random} elements (cap {cap})"
         raise SizeLimitError(msg, estimated_size=dim * dim + n_random)
     rng = np.random.default_rng(seed)
-    # unit (i, j) is element i * dim + j
-    units = np.eye(dim * dim, dtype=np.complex128).reshape(dim * dim, dim, dim)
-    randoms = [random_hermitian_contraction(dim, rng)[None] for _ in range(n_random)]
-    elements = np.concatenate([units, *randoms])
-    for a in elements:
-        if operator_norm(a) > 1.0 + CONTRACTION_SLACK:
+    elements = np.empty((dim * dim + n_random, dim, dim), dtype=np.complex128)
+    # unit (i, j) is element i * dim + j, of norm 1 exactly
+    elements[: dim * dim] = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+    for lo, block in _draw_blocks(random_hermitian_contraction, dim, rng, n_random):
+        top = np.linalg.eigvalsh(block.conj().transpose(0, 2, 1) @ block)[:, -1]
+        if np.sqrt(top.max()) > 1.0 + CONTRACTION_SLACK:
             raise NumericalInvariantError("test element exceeds contraction norm")
+        elements[dim * dim + lo : dim * dim + lo + len(block)] = block
     return TestElementNet(dim=dim, elements=elements)
 
 
@@ -433,9 +438,7 @@ def witness_search(
         hits = np.nonzero(gaps < threshold)[0]
         if hits.size:
             i = lo + int(hits[0])
-            return WitnessResult(
-                index=i, unitary=net.elements[i], gap=float(gaps[hits[0]])
-            )
+            return WitnessResult(index=i, unitary=net.elements[i], gap=float(gaps[hits[0]]))
     return None
 
 
@@ -455,6 +458,4 @@ def distance_bound_check(phi: VectorState, psi: VectorState, u) -> DistanceBound
     any implication drawn from it.
     """
     dist = state_distance(phi, pullback(psi, u))
-    return DistanceBound(
-        norm_distance=dist, below_two=bool(dist < 2.0 - DISTANCE_STRICTNESS)
-    )
+    return DistanceBound(norm_distance=dist, below_two=bool(dist < 2.0 - DISTANCE_STRICTNESS))

@@ -7,9 +7,11 @@ test-set gap sup_a |phi(a) - psi(u a u*)| the witness search is checked
 against, the writer of the angle-file format the package reads, the
 level-to-dimension map, the sequential per-pair compass search the
 lockstep oracle search is checked against, the whole-chunk witness
-scan the growing-block scan is checked against, and the one-step-at-a-time
-splitmix64 loop the vectorized seed stream is checked against.  Each
-keeps the validation it had in the package.
+scan the growing-block scan is checked against, the one-step-at-a-time
+splitmix64 loop the vectorized seed stream is checked against, the
+one-at-a-time draw of random test elements and the concatenated column
+layout the batched witness kernels are checked against.  Each keeps the
+validation it had in the package.
 """
 
 from __future__ import annotations
@@ -254,3 +256,29 @@ def witness_search_by_chunks(
                 index=i, unitary=net.elements[i], gap=float(gaps[hits[0]])
             )
     return None
+
+
+def random_test_elements_by_loop(dim: int, n_random: int, seed: int) -> np.ndarray:
+    """Matrix units, then `n_random` Hermitian contractions drawn one at a time.
+
+    Each draw takes a real, then an imaginary, normal (dim, dim) block from
+    the stream and divides h = (g + g*)/2 by its operator norm, or is the
+    identity where that norm is below 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    elements = [np.eye(dim * dim, dtype=np.complex128).reshape(dim * dim, dim, dim)]
+    for _ in range(n_random):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (g + g.conj().T) / 2.0
+        nrm = operator_norm(h)
+        elements.append((np.eye(dim, dtype=np.complex128) if nrm < 1e-12 else h / nrm)[None])
+    return np.concatenate(elements)
+
+
+def columns_by_concatenation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k, 2d) real column rows of a (k, d, d) stack, and their squared norms.
+
+    Real parts stacked over imaginary parts, then transposed and copied.
+    """
+    cols = np.ascontiguousarray(np.concatenate([a.real, a.imag], axis=1).transpose(2, 0, 1))
+    return cols, np.einsum("jkx,jkx->jk", cols, cols)

@@ -194,6 +194,16 @@ def test_haar_unitary_stack_equals_single_draws(dim):
     assert np.array_equal(stack, np.stack(singles))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_hermitian_contraction_stack_equals_single_draws(dim):
+    single_rng = np.random.default_rng(dim)
+    singles = [linalg.random_hermitian_contraction(dim, single_rng) for _ in range(50)]
+    stack = linalg.random_hermitian_contraction(dim, np.random.default_rng(dim), count=50)
+    assert stack.shape == (50, dim, dim)
+    assert np.array_equal(stack, np.stack(singles))
+    assert linalg.random_hermitian_contraction(dim, single_rng, count=0).shape == (0, dim, dim)
+
+
 def test_rotation_columns_orthonormal():
     u = rotation_unitary(np.cos(0.3))
     gram = u.conj().T @ u

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from carlab import cli, config, linalg, witness
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
 from carlab.states import VectorState, pullback
-from reference import projector, rotation_unitary, sup_gap, witness_search_by_chunks
+from reference import (
+    columns_by_concatenation,
+    projector,
+    random_test_elements_by_loop,
+    rotation_unitary,
+    sup_gap,
+    witness_search_by_chunks,
+)
 
 
 def test_exhaustive_net_dim1_is_phase_circle():
@@ -213,6 +220,18 @@ def test_nearest_on_exhaustive_net_equals_full_scan():
         assert witness.nearest_net_element(net, u) == tuple(_nearest_reference(net.elements, u))
 
 
+@settings(deadline=None, max_examples=100)
+@given(dim=st.integers(1, 4), count=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_columns_equal_concatenated_form(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    cols, sq = witness._columns(a)
+    ref_cols, ref_sq = columns_by_concatenation(a)
+    assert cols.shape == (dim, count, 2 * dim) and cols.flags.c_contiguous
+    assert cols.tobytes() == ref_cols.tobytes()
+    assert sq.tobytes() == ref_sq.tobytes()
+
+
 def _density_reference(net, probes, seed):
     """The per-probe full scan the batched density report replaces."""
     rng = np.random.default_rng(seed)
@@ -242,6 +261,35 @@ def test_density_report_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * config.BLOCK_BYTES + 30_000 * 8
+
+
+@pytest.mark.parametrize("build, probes", [
+    (lambda: witness.enumerate_net(2, 0.4), 30),
+    (lambda: witness.random_net(4, 0.4, size=3000, seed=1), 40),
+], ids=["exhaustive-dim2", "random-dim4"])
+def test_density_report_transient_memory_is_bounded(build, probes):
+    # The witness benchmark's first two nets.  With element chunks outside
+    # and probe tiles inside, the scan holds one chunk's columns and one
+    # tile pair at a time: a few L2-sized budgets.  (Probe, element) tiles
+    # of 4 MiB, each probe tile forming the chunk's columns anew, took
+    # 6.4 MB and 4.7 MB here.
+    assert config.BLOCK_BYTES <= 1 << 18
+    net = build()
+    witness.net_density_report(net, probes=1, seed=0)  # one-time allocations
+    tracemalloc.start()
+    try:
+        witness.net_density_report(net, probes=probes, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * config.BLOCK_BYTES
+
+
+def test_density_report_refuses_no_probes():
+    net = witness.random_net(2, 0.4, size=10, seed=0)
+    for probes in (0, -1):
+        with pytest.raises(InvalidInputError, match="density probe count"):
+            witness.net_density_report(net, probes=probes)
 
 
 # The witness benchmark's nets.  Norming every candidate within the seed's
@@ -359,7 +407,9 @@ def test_test_element_net_contractions():
 
 def test_test_element_net_cap_refused_before_drawing():
     # 128 MB of complex128 elements: 2,000,000 at dim 2, 31,250 at dim 16
-    with mock.patch.object(witness, "random_hermitian_contraction") as draw:
+    draws = mock.patch.object(witness, "random_hermitian_contraction",
+                              wraps=linalg.random_hermitian_contraction)
+    with draws as draw:
         with pytest.raises(SizeLimitError) as info:
             witness.build_test_element_net(2, n_random=2_000_000 - 3)
         assert info.value.estimated_size == 2_000_001
@@ -367,7 +417,30 @@ def test_test_element_net_cap_refused_before_drawing():
             witness.build_test_element_net(16, n_random=31_250 - 255)
         with pytest.raises(SizeLimitError):
             witness.build_test_element_net(2, n_random=10**20)
-    draw.assert_not_called()
+        draw.assert_not_called()
+        # the mock is what draws: a net within the cap goes through it
+        witness.build_test_element_net(2, n_random=3)
+    draw.assert_called_once()
+
+
+def test_test_element_net_refuses_negative_count():
+    with pytest.raises(InvalidInputError, match="negative"):
+        witness.build_test_element_net(2, n_random=-1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+@pytest.mark.parametrize("n_random, rows", [
+    (0, None), (1, None), (24, None),
+    # block edges, with three drawn contractions to a block
+    (2, 3), (3, 3), (4, 3), (7, 3),
+])
+def test_test_element_net_equals_draws_one_at_a_time(dim, n_random, rows):
+    budget = config.BLOCK_BYTES if rows is None else rows * 64 * dim * dim
+    with mock.patch.object(config, "BLOCK_BYTES", budget):
+        net = witness.build_test_element_net(dim, n_random=n_random, seed=dim + n_random)
+    expected = random_test_elements_by_loop(dim, n_random, seed=dim + n_random)
+    assert net.elements.shape == (dim * dim + n_random, dim, dim)
+    assert net.elements.tobytes() == expected.tobytes()
 
 
 def test_witness_search_identical_states():
