@@ -242,7 +242,7 @@ def run_reduce(args):
 
 
 def run_cauchy_gaps(args):
-    """Chain block gaps: dense measurement vs closed form vs claimed bound."""
+    """Chain block gaps: factor-spectrum measurement vs closed form vs claimed bound."""
     length = max(args.levels, 1)
     alpha = angles_from_descriptor(args.alpha, length)
     beta = angles_from_descriptor(args.beta, length)
@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser(
         "cauchy-gaps",
-        help="chain block gaps: dense vs eigenphase closed form vs claimed bound",
+        help="chain block gaps: factor spectra vs eigenphase closed form vs claimed bound",
     )
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)

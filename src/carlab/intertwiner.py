@@ -2,11 +2,12 @@
 
 Each 2x2 factor gets the plane rotation carrying one angle vector to the
 other; their tensor products form a chain of unitaries whose per-step and
-block gaps are measured densely, computed in closed form from eigenphase
-sign patterns, and compared against the overlap-product bound
-sqrt(2 (1 - prod cos)).  The comparison is reported honestly: the bound
-is known to fail for long blocks, so it is never asserted.  A chain is
-stored as its 2x2 factors; no level's 2^n x 2^n unitary is ever formed.
+block gaps are measured from the spectra of the built factors, computed
+in closed form from eigenphase sign patterns, and compared against the
+overlap-product bound sqrt(2 (1 - prod cos)).  The comparison is reported
+honestly: the bound is known to fail for long blocks, so it is never
+asserted.  A chain is stored as its 2x2 factors; no 2^n x 2^n unitary,
+of a level or of a block, is ever formed.
 """
 
 from __future__ import annotations
@@ -201,16 +202,19 @@ class BlockGap:
 def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
     """Compare ||v_m (x) I - v_n|| against its closed form and the bound.
 
-    `measured` is the dense norm of I - W on 2^(n-m) dimensions, exact as
-    v_n = v_m (x) W with W = u_{m+1} (x) ... (x) u_n and v_m (x) I unitary;
-    `eigenphase_norm` from the sign-pattern formula over the block's
-    factors; the bound is sqrt(2 (1 - prod cos)) over the same factors and
-    is flagged, not asserted, whenever the measurement exceeds it.
+    The gap is ||I - W||, as v_n = v_m (x) W with W = u_{m+1} (x) ... (x)
+    u_n and v_m (x) I unitary.  W is unitary, hence normal, so `measured`
+    is max |1 - lambda| over its 2^(n-m) eigenvalues: the products of one
+    eigenvalue of each built factor.  It reads the factors, not the angles,
+    so it stays independent of `eigenphase_norm`, the sign-pattern formula
+    over the block's angle gaps.  The bound is sqrt(2 (1 - prod cos)) over
+    the same factors and is flagged, not asserted, whenever the
+    measurement exceeds it.
     """
     if not 1 <= m < n <= len(chain.levels):
         raise LevelError(f"need 1 <= m < n <= {len(chain.levels)}")
-    block = reduce(np.kron, [record.factor for record in chain.levels[m:n]])
-    measured = operator_norm(np.eye(block.shape[0], dtype=np.complex128) - block)
+    eigenvalues = np.linalg.eigvals([record.factor for record in chain.levels[m:n]])
+    measured = float(np.max(np.abs(1.0 - reduce(np.kron, eigenvalues))))
     thetas = chain.thetas[m:n]
     spectral = phase_combination_norm(
         [_step_phase_pair(float(t), chain.phase_policy) for t in thetas]
@@ -304,8 +308,12 @@ def distance_crossing_level(
     """First n with tail-state distance 2 sqrt(1 - P_n^2) above threshold.
 
     Runs on partial products alone, so it can scan far beyond the matrix
-    cap; returns None when no admissible level crosses.
+    cap; returns None when no admissible level crosses.  The distance lies
+    in [0, 2], so a threshold outside [0, 2) is refused: none would cross
+    2, and every level would cross a negative one.
     """
+    if not 0.0 <= threshold < 2.0:
+        raise InvalidInputError(f"distance threshold {threshold} outside [0, 2)")
     a, b = paired_angles(alpha, beta)
     stop = min(a.size, limit)
     if not 1 <= start <= stop:

@@ -374,22 +374,25 @@ def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestE
     return TestElementNet(dim=dim, elements=elements)
 
 
-def _scan_blocks(n: int):
+def _scan_blocks(n: int, most: int):
     """Row ranges [lo, hi) of the witness scan over a net of n elements.
 
     The first block has `_FIRST_BLOCK` rows and each next one ends at
-    twice the rows scanned so far, up to `_CHUNK`-row blocks from row
-    `_CHUNK` on, so a scan of the whole net takes at most 7 more blocks
-    than whole chunks would.  Every row keeps the gap the one-chunk scan
-    gives it: numpy takes a one-row block through its vector-matrix
-    product, which rounds differently from the matrix product, so a lone
-    last row takes the row before it along unless it starts a chunk.
+    twice the rows scanned so far, capped at `most` rows (at least 2) and
+    never crossing a multiple of `_CHUNK`, so with `most` = `_CHUNK` a
+    scan of the whole net takes at most 7 more blocks than whole chunks
+    would.  Every row keeps the gap the one-chunk scan gives it: numpy
+    takes a one-row block through its vector-matrix product, which rounds
+    differently from the matrix product, so a block that would leave one
+    row before its chunk's end leaves two, or takes the row along if it
+    has only two itself.
     """
     lo = 0
     while lo < n:
-        hi = min(n, max(2 * lo, _FIRST_BLOCK), lo + _CHUNK)
-        if hi == n - 1 and hi % _CHUNK:
-            hi -= 1
+        end = min(n, lo - lo % _CHUNK + _CHUNK)
+        hi = min(end, max(2 * lo, _FIRST_BLOCK), lo + most)
+        if hi == end - 1:
+            hi += 1 if hi - lo == 2 else -1
         yield lo, hi
         lo = hi
 
@@ -418,7 +421,9 @@ def witness_search(
 
     The scan reads the net in blocks whose end doubles (see
     `_scan_blocks`), so finding the witness at index i costs work in
-    proportion to i, not to the net's size.
+    proportion to i, not to the net's size.  A block forms a few (rows,
+    d^2 + k) complex arrays for k test elements, so its rows are capped
+    by the block budget of that width.
     """
     if phi.dim != psi.dim or phi.dim != net.dim or net.dim != test_net.dim:
         raise InvalidInputError("state, net, and test-net dimensions must agree")
@@ -428,7 +433,8 @@ def witness_search(
     flat = test_net.elements.reshape(len(test_net.elements), -1).T
     phi_vals = np.outer(phi.vector.conj(), phi.vector).reshape(-1) @ flat
     conj_psi = psi.vector.conj()
-    for lo, hi in _scan_blocks(len(net)):
+    most = max(2, block_rows(16 * (net.dim * net.dim + flat.shape[1])))
+    for lo, hi in _scan_blocks(len(net), most):
         block = net.elements[lo:hi]
         # the pulled-back vectors u* psi, conjugated: psi^H u, row by row
         conj_pulled = conj_psi @ block

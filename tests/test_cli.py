@@ -545,6 +545,18 @@ def test_bad_input_rejected_with_json_record(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["2", "2.5", "-1", "-0.5"])
+def test_separation_vacuous_threshold_refused(tmp_path, capsys, threshold):
+    # distances lie in [0, 2]: none exceeds 2, every one exceeds -1
+    out = tmp_path / "s.json"
+    argv = ["separation", "--alpha", "invsqrt", "--beta", "zero",
+            f"--threshold={threshold}", "--output", str(out)]
+    assert cli.main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config" and "threshold" in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

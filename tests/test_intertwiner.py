@@ -1,8 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlab import intertwiner, linalg, sequences, truncation
 from carlab.errors import InvalidInputError, LevelError, NumericalInvariantError
@@ -163,6 +166,59 @@ def test_block_gap_dense_cross_check(policy):
         assert abs(gap.measured - dense) <= 1e-12
 
 
+def _dense_block_gap(chain, m, n):
+    """Reference only: ||I - W|| for the dense W = u_{m+1} (x) ... (x) u_n."""
+    block = reduce(np.kron, [record.factor for record in chain.levels[m:n]])
+    return linalg.operator_norm(np.eye(block.shape[0]) - block)
+
+
+# (alpha_j, beta_j) pairs at the edges of the factor spectra: equal angles
+# (theta = alpha - beta = 0, an identity factor) and theta = +-(pi/2 - 1e-9),
+# where the factor's eigenvalues are near -+i and cos theta near 0
+_HALF = np.pi / 2 - 1e-9
+_angle = st.floats(-_HALF, _HALF, allow_subnormal=False)
+_pair = st.one_of(
+    st.sampled_from([(0.0, 0.0), (_HALF, 0.0), (0.0, _HALF), (-_HALF, 0.0), (0.0, -_HALF)]),
+    _angle.map(lambda a: (a, a)),
+    st.tuples(_angle, _angle),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    policy=st.sampled_from(intertwiner.PHASE_POLICIES),
+    pairs=st.integers(1, 8).flatmap(lambda span: st.one_of(
+        st.lists(_pair, min_size=span, max_size=span),
+        _pair.map(lambda p: [p] * span),
+    )),
+)
+def test_block_gap_equals_dense_norm_at_spectral_edges(policy, pairs):
+    # repeated pairs give coincident factor eigenvalues; under
+    # "eigenvalue-one" every factor has eigenvalue 1, exactly so at theta = 0
+    alpha, beta = np.array([(0.3, 0.0), *pairs]).T
+    span = len(pairs)
+    chain = intertwiner.build_chain(alpha, beta, span + 1, phase_policy=policy)
+    gap = intertwiner.block_gap(chain, 1, span + 1)
+    assert abs(gap.measured - _dense_block_gap(chain, 1, span + 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("policy", intertwiner.PHASE_POLICIES)
+def test_block_gap_working_memory_is_small(policy):
+    # from the factor spectra: 2^10 eigenvalue products, where the dense
+    # 1024 x 1024 complex block alone took 16 MB
+    chain = intertwiner.build_chain(
+        _angles("harmonic", 12), _angles("zero", 12), 12, phase_policy=policy
+    )
+    tracemalloc.start()
+    try:
+        gap = intertwiner.block_gap(chain, 1, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(gap.measured - gap.eigenphase_norm) <= 1e-8
+    assert peak <= 1 << 20
+
+
 def test_block_gap_bad_indices():
     chain = intertwiner.build_chain([0.1, 0.2], [0.0, 0.0], 2)
     with pytest.raises(LevelError):
@@ -274,3 +330,12 @@ def test_distance_crossing_level_invsqrt():
         _angles("power:2", 64), beta, threshold=1.9
     )
     assert none is None
+
+
+def test_distance_crossing_level_refuses_vacuous_thresholds():
+    alpha, beta = _angles("invsqrt", 64), _angles("zero", 64)
+    for threshold in (-1.0, -1e-300, 2.0, 2.5, np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="threshold"):
+            intertwiner.distance_crossing_level(alpha, beta, threshold=threshold)
+    assert intertwiner.distance_crossing_level(alpha, beta, threshold=0.0) == 1
+    assert intertwiner.distance_crossing_level(alpha, beta, threshold=np.nextafter(2.0, 0)) is None

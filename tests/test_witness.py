@@ -507,7 +507,7 @@ def test_witness_search_equals_einsum_scan(dim):
         assert abs(result.gap - expected[1]) <= 1e-14
 
 
-def _net_with_one_witness(dim, size, k, seed, vary_bad=False):
+def _net_with_one_witness(dim, size, k, seed, vary_bad=False, n_random=10):
     """States phi = e_0 and psi near it, and a net whose only witness is I at k.
 
     Every other element u sends psi to a vector orthogonal to phi, so the
@@ -526,7 +526,7 @@ def _net_with_one_witness(dim, size, k, seed, vary_bad=False):
     if k is not None:
         elements[k] = np.eye(dim)
     net = witness.UnitaryNet(dim=dim, resolution=0.4, mode="random", elements=elements)
-    tests = witness.build_test_element_net(dim, n_random=10, seed=seed)
+    tests = witness.build_test_element_net(dim, n_random=n_random, seed=seed)
     return VectorState(phi), VectorState(psi), net, tests
 
 
@@ -583,7 +583,7 @@ def test_growing_scan_equals_chunk_scan_random(dim, k, extra, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 4097, 8191, 8192, 8193, 8194, 16385, 30000])
 def test_scan_blocks_grow_and_keep_one_row_blocks_where_chunks_have_them(n):
-    blocks = list(witness._scan_blocks(n))
+    blocks = list(witness._scan_blocks(n, witness._CHUNK))
     assert blocks[0][0] == 0 and blocks[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert blocks[0][1] <= witness._FIRST_BLOCK
@@ -592,6 +592,70 @@ def test_scan_blocks_grow_and_keep_one_row_blocks_where_chunks_have_them(n):
     lone = {lo for lo, hi in blocks if hi - lo == 1}
     chunk_lone = {lo for lo in range(0, n, witness._CHUNK) if min(n, lo + witness._CHUNK) - lo == 1}
     assert lone == chunk_lone
+
+
+@pytest.mark.parametrize("most", [2, 3, 5, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 31, 32, 65, 8191, 8192, 8193, 8194, 16387])
+def test_scan_blocks_capped_keep_one_row_blocks_where_chunks_have_them(n, most):
+    blocks = list(witness._scan_blocks(n, most))
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    # a block takes its chunk's last row along only when it has two rows
+    assert all(hi - lo <= max(most, 3) for lo, hi in blocks)
+    assert all((hi - 1) // witness._CHUNK == lo // witness._CHUNK for lo, hi in blocks)
+    lone = {lo for lo, hi in blocks if hi - lo == 1}
+    chunk_lone = {lo for lo in range(0, n, witness._CHUNK) if min(n, lo + witness._CHUNK) - lo == 1}
+    assert lone == chunk_lone
+
+
+def _scan_rows(tests):
+    return max(2, config.block_rows(16 * (tests.dim**2 + len(tests.elements))))
+
+
+@pytest.mark.parametrize("n_random, most", [(6000, 2), (5000, 3)])
+@pytest.mark.parametrize("size", [30, 31, 32])
+def test_capped_scan_on_wide_test_nets_equals_chunk_scan(n_random, most, size):
+    # test nets so wide that a scan block holds 2 or 3 rows; net sizes
+    # 0, 1 and 2 modulo that cap, witnesses up to the last row
+    for k, seed in [(size - 1, 0), (size - 2, 1), (size - 3, 2), (size // 2, 3)]:
+        phi, psi, net, tests = _net_with_one_witness(
+            2, size, k, seed, vary_bad=True, n_random=n_random
+        )
+        assert _scan_rows(tests) == most
+        result = witness.witness_search(phi, psi, net, tests)
+        assert result is not None and result.index == k
+        _assert_scan_matches_chunks(phi, psi, net, tests)
+
+
+@pytest.mark.parametrize("most", [2, 3])
+def test_capped_scan_across_a_chunk_equals_chunk_scan(most):
+    # n = _CHUNK + 1 at a 2- or 3-row cap; the budget is shrunk instead of
+    # the test net widened, as the whole-chunk reference would form
+    # (_CHUNK, k) arrays of about 800 MB at such widths
+    size = witness._CHUNK + 1
+    for k in (size - 3, size - 2, size - 1):
+        phi, psi, net, tests = _net_with_one_witness(2, size, k, seed=k, vary_bad=True)
+        row_bytes = 16 * (tests.dim**2 + len(tests.elements))
+        with mock.patch.object(config, "BLOCK_BYTES", most * row_bytes):
+            assert _scan_rows(tests) == most
+            result = witness.witness_search(phi, psi, net, tests)
+        assert result is not None and result.index == k
+        _assert_scan_matches_chunks(phi, psi, net, tests)
+
+
+def test_witness_scan_memory_is_bounded_by_test_net_width():
+    # 4,000 test elements: the 64-row first block alone formed 4 MB
+    # arrays, and a scan reaching the 8192-row blocks would need about 1 GB
+    phi, psi, net, tests = _net_with_one_witness(2, 300, 200, seed=5, n_random=4000)
+    witness.witness_search(phi, psi, net, tests)  # one-time allocations
+    tracemalloc.start()
+    try:
+        result = witness.witness_search(phi, psi, net, tests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is not None and result.index == 200
+    assert peak <= 4 * config.BLOCK_BYTES
 
 
 def test_witness_gap_tracks_state_distance_when_identity_probe():
