@@ -3,7 +3,7 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 28 invocations (the seven README commands, the ten
+Runs a fixed list of 29 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
 `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
@@ -11,7 +11,9 @@ runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
 exhaustive net at `--epsilon 0.2`, a 20,000-element dim-4 random net
 whose 200 density probes take many slices of exact norms, and
 `cauchy-gaps` at level 12 with spans up to 11, where a block gap
-multiplies up to 2^11 factor eigenvalues), each with
+multiplies up to 2^11 factor eigenvalues, and a `reduce` at level 12
+under `--phase-policy eigenvalue-one`, whose per-level rows are span-1
+block gaps at the level cap), each with
 `--out json` and `--out csv`, as `python -m carlab.cli` under each
 tree's `src` with one BLAS thread.
 For every run it prints whether the exit codes, stderr and stdout (up to
@@ -73,6 +75,8 @@ INVOCATIONS = [
     "fsigma-search --dim 4 --net random --net-size 20000 --pairs 5 --epsilon 0.4"
     " --density-check --density-probes 200 --seed 1",
     "cauchy-gaps --alpha harmonic --beta random:0.3:1 --levels 12 --max-span 11 --seed 1",
+    "reduce --alpha harmonic --beta random:0.3:1 --levels 12 --length 400"
+    " --phase-policy eigenvalue-one --seed 1",
 ]
 
 _INT = re.compile(r"[+-]?\d+")

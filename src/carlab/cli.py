@@ -25,6 +25,7 @@ from . import __version__
 from .config import check_count
 from .errors import InvalidInputError, NumericalInvariantError, SizeLimitError
 from .intertwiner import (
+    block_gap,
     block_gaps,
     build_chain,
     distance_crossing_level,
@@ -225,17 +226,19 @@ def run_reduce(args):
     alpha = angles_from_descriptor(args.alpha, args.length)
     beta = angles_from_descriptor(args.beta, args.length)
     chain = build_chain(alpha, beta, args.levels, phase_policy=args.phase_policy)
-    rows = [
-        {
-            "n": record.n,
-            "gap_to_prev": record.gap_to_prev,
-            "overlap_bound": record.overlap_bound,
-            "eigenphase_norm": record.eigenphase_norm,
-            "overlap_product": tail.overlap,
-            "state_distance": tail.state_distance,
-        }
-        for record, tail in zip(chain.levels, separation_rows(alpha, beta, 1, args.levels))
-    ]
+    rows = []
+    for tail in separation_rows(alpha, beta, 1, args.levels):
+        gap = block_gap(chain, tail.n - 1, tail.n)
+        rows.append(
+            {
+                "n": tail.n,
+                "gap_to_prev": gap.measured,
+                "overlap_bound": gap.overlap_bound,
+                "eigenphase_norm": gap.eigenphase_norm,
+                "overlap_product": tail.overlap,
+                "state_distance": tail.state_distance,
+            }
+        )
     summary = asdict(classify_pair(alpha, beta))
     summary["diagnostic_length"] = args.length
     return rows, summary
@@ -262,10 +265,6 @@ def run_cauchy_gaps(args):
 
 def run_separation(args):
     """Tail-state overlap decay, distances, and separating witnesses."""
-    if args.search_limit < args.start:
-        raise InvalidInputError(
-            f"--search-limit {args.search_limit} is below --start {args.start}"
-        )
     length = max(args.search_limit, args.start + args.levels - 1)
     alpha = angles_from_descriptor(args.alpha, length)
     beta = angles_from_descriptor(args.beta, length)

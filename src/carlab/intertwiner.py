@@ -1,13 +1,14 @@
 """Truncated product states and the rotation chains that intertwine them.
 
 Each 2x2 factor gets the plane rotation carrying one angle vector to the
-other; their tensor products form a chain of unitaries whose per-step and
-block gaps are measured from the spectra of the built factors, computed
-in closed form from eigenphase sign patterns, and compared against the
-overlap-product bound sqrt(2 (1 - prod cos)).  The comparison is reported
-honestly: the bound is known to fail for long blocks, so it is never
-asserted.  A chain is stored as its 2x2 factors; no 2^n x 2^n unitary,
-of a level or of a block, is ever formed.
+other; their tensor products form a chain of unitaries, stored as the
+stack of its 2x2 factors: no 2^n x 2^n unitary, of a level or of a block,
+is ever formed.  Every gap is a block gap, the per-step gap included as
+the span-1 block (n - 1, n).  It is measured from the spectra of the
+block's factors, computed in closed form from eigenphase sign patterns,
+and compared against the overlap-product bound sqrt(2 (1 - prod cos)).
+The comparison is reported honestly: the bound is known to fail for long
+blocks, so it is never asserted.
 """
 
 from __future__ import annotations
@@ -56,35 +57,17 @@ def _step_phase_pair(theta: float, phase_policy: str) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ChainLevel:
-    """One level of the chain with its gap data.
-
-    `factor` is the 2x2 step u_n (the level is u_1 (x) ... (x) u_n);
-    `gap_to_prev` is the measured ||previous (x) I - current|| = ||I - u_n||;
-    `overlap_bound` is the claimed estimate sqrt(2 (1 - cos theta_n));
-    `eigenphase_norm` is the exact closed form from the step's eigenphases.
-    """
-
-    n: int
-    factor: np.ndarray
-    gap_to_prev: float
-    overlap_bound: float
-    eigenphase_norm: float
-
-
-@dataclass(frozen=True)
 class IntertwinerChain:
-    """Tensor chain of step unitaries with per-level gap diagnostics."""
+    """Tensor chain v_n = u_1 (x) ... (x) u_n, stored as its step factors.
+
+    `factors` is the (levels, 2, 2) stack of steps, u_n at row n - 1; every
+    gap of the chain is read from slices of it by `block_gap`.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
     phase_policy: str
-    levels: tuple[ChainLevel, ...]
-
-    def level(self, n: int) -> ChainLevel:
-        if not 1 <= n <= len(self.levels):
-            raise LevelError(f"chain holds levels 1..{len(self.levels)}, asked {n}")
-        return self.levels[n - 1]
+    factors: np.ndarray
 
     @property
     def thetas(self) -> np.ndarray:
@@ -108,33 +91,13 @@ def build_chain(
         raise InvalidInputError(f"need 1 <= levels <= {a.size}, got {levels}")
     if levels > MAX_LEVEL:
         raise LevelError(f"levels {levels} exceeds cap {MAX_LEVEL}")
-
-    records = []
-    for n in range(1, levels + 1):
-        u = step_unitary(a[n - 1], b[n - 1], phase_policy)
-        theta = float(a[n - 1] - b[n - 1])
-        # previous (x) I - current = previous (x) (I - u), and tensoring with
-        # a unitary preserves the operator norm
-        gap = operator_norm(np.eye(2, dtype=np.complex128) - u)
-        records.append(
-            ChainLevel(
-                n=n,
-                factor=u,
-                gap_to_prev=gap,
-                overlap_bound=float(np.sqrt(2.0 * (1.0 - np.cos(theta)))),
-                eigenphase_norm=phase_combination_norm(
-                    [_step_phase_pair(theta, phase_policy)]
-                ),
-            )
-        )
-    chain = IntertwinerChain(
-        alpha=a, beta=b, phase_policy=phase_policy, levels=tuple(records)
-    )
+    factors = np.array([step_unitary(a[j], b[j], phase_policy) for j in range(levels)])
+    chain = IntertwinerChain(alpha=a, beta=b, phase_policy=phase_policy, factors=factors)
     _verify_chain(chain)
     return chain
 
 
-def _factorwise_image(factors: Sequence[np.ndarray], angles) -> np.ndarray:
+def _factorwise_image(factors: np.ndarray, angles) -> np.ndarray:
     """(x)_j f_j (cos a_j, sin a_j), without forming the product of the f_j."""
     out = np.ones(1, dtype=np.complex128)
     for f, a in zip(factors, angles):
@@ -143,21 +106,20 @@ def _factorwise_image(factors: Sequence[np.ndarray], angles) -> np.ndarray:
 
 
 def _verify_chain(chain: IntertwinerChain) -> None:
-    factors = [record.factor for record in chain.levels]
     drift = 1.0  # bounds ||(x)_j u_j*u_j - I|| by prod_j (1 + ||u_j*u_j - I||) - 1
-    for record in chain.levels:
-        drift *= 1.0 + operator_norm(record.factor.conj().T @ record.factor - np.eye(2))
+    for n, u in enumerate(chain.factors, start=1):
+        drift *= 1.0 + operator_norm(u.conj().T @ u - np.eye(2))
         if drift - 1.0 > CONSTRUCTION_TOL:
-            raise NumericalInvariantError(f"chain level {record.n} is not unitary")
-        image = _factorwise_image(factors[: record.n], chain.alpha)
-        eta = product_vector(chain.beta[: record.n])
+            raise NumericalInvariantError(f"chain level {n} is not unitary")
+        image = _factorwise_image(chain.factors[:n], chain.alpha)
+        eta = product_vector(chain.beta[:n])
         if chain.phase_policy == "none":
             err = np.linalg.norm(image - eta)
         else:
             err = abs(1.0 - abs(np.vdot(image, eta)))
         if err > CONSTRUCTION_TOL:
             raise NumericalInvariantError(
-                f"chain level {record.n} misses its carrier vector by {err:.3e}"
+                f"chain level {n} misses its carrier vector by {err:.3e}"
             )
 
 
@@ -172,9 +134,11 @@ def intertwining_gap(
     vector onto the other; v_n* eta_n is formed factorwise, and a (x) I
     acts on each vector X reshaped to 2^m x 2^(n-m) as tr(a X X*).
     """
-    chain.level(n)  # LevelError unless 1 <= n <= levels
+    top = len(chain.factors)
+    if not 1 <= n <= top:
+        raise LevelError(f"chain holds levels 1..{top}, asked {n}")
     xi = product_vector(chain.alpha[:n])
-    pulled = _factorwise_image([r.factor.conj().T for r in chain.levels[:n]], chain.beta)
+    pulled = _factorwise_image(chain.factors[:n].conj().transpose(0, 2, 1), chain.beta)
     worst = 0.0
     for a in test_elements:
         a = as_square_matrix(a)
@@ -202,18 +166,20 @@ class BlockGap:
 def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
     """Compare ||v_m (x) I - v_n|| against its closed form and the bound.
 
-    The gap is ||I - W||, as v_n = v_m (x) W with W = u_{m+1} (x) ... (x)
-    u_n and v_m (x) I unitary.  W is unitary, hence normal, so `measured`
-    is max |1 - lambda| over its 2^(n-m) eigenvalues: the products of one
-    eigenvalue of each built factor.  It reads the factors, not the angles,
-    so it stays independent of `eigenphase_norm`, the sign-pattern formula
-    over the block's angle gaps.  The bound is sqrt(2 (1 - prod cos)) over
-    the same factors and is flagged, not asserted, whenever the
-    measurement exceeds it.
+    m = 0 is allowed: v_0 = 1 is the unit of M_1 = C, so the span-1 block
+    (n - 1, n) is the gap ||v_{n-1} (x) I - v_n|| = ||I - u_n|| between
+    consecutive levels.  The gap is ||I - W||, as v_n = v_m (x) W with
+    W = u_{m+1} (x) ... (x) u_n and v_m (x) I unitary.  W is unitary, hence
+    normal, so `measured` is max |1 - lambda| over its 2^(n-m) eigenvalues:
+    the products of one eigenvalue of each built factor.  It reads the
+    factors, not the angles, so it stays independent of `eigenphase_norm`,
+    the sign-pattern formula over the block's angle gaps.  The bound is
+    sqrt(2 (1 - prod cos)) over the same factors and is flagged, not
+    asserted, whenever the measurement exceeds it.
     """
-    if not 1 <= m < n <= len(chain.levels):
-        raise LevelError(f"need 1 <= m < n <= {len(chain.levels)}")
-    eigenvalues = np.linalg.eigvals([record.factor for record in chain.levels[m:n]])
+    if not 0 <= m < n <= len(chain.factors):
+        raise LevelError(f"need 0 <= m < n <= {len(chain.factors)}")
+    eigenvalues = np.linalg.eigvals(chain.factors[m:n])
     measured = float(np.max(np.abs(1.0 - reduce(np.kron, eigenvalues))))
     thetas = chain.thetas[m:n]
     spectral = phase_combination_norm(
@@ -232,9 +198,9 @@ def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
 
 
 def block_gaps(chain: IntertwinerChain, max_span: int = 6) -> list[BlockGap]:
-    """All block gaps with span at most max_span, in (start, end) order."""
+    """All block gaps from start 1 with span at most max_span, in (start, end) order."""
     out = []
-    top = len(chain.levels)
+    top = len(chain.factors)
     for m in range(1, top):
         for n in range(m + 1, min(m + max_span, top) + 1):
             out.append(block_gap(chain, m, n))
@@ -308,16 +274,17 @@ def distance_crossing_level(
     """First n with tail-state distance 2 sqrt(1 - P_n^2) above threshold.
 
     Runs on partial products alone, so it can scan far beyond the matrix
-    cap; returns None when no admissible level crosses.  The distance lies
-    in [0, 2], so a threshold outside [0, 2) is refused: none would cross
-    2, and every level would cross a negative one.
+    cap; returns None when no level in start..min(len, limit) crosses.  The
+    distance lies in [0, 2], so a threshold outside [0, 2) is refused: none
+    would cross 2, and every level would cross a negative one.  An empty
+    window is refused too, as its None would read as "never crosses".
     """
     if not 0.0 <= threshold < 2.0:
         raise InvalidInputError(f"distance threshold {threshold} outside [0, 2)")
     a, b = paired_angles(alpha, beta)
     stop = min(a.size, limit)
     if not 1 <= start <= stop:
-        return None
+        raise InvalidInputError(f"empty search window [{start}, {stop}] for length {a.size}")
     products = overlap_partial_products(a, b, start - 1, stop)
     distances = 2.0 * np.sqrt(np.clip(1.0 - products**2, 0.0, None))
     hits = np.nonzero(distances > threshold)[0]

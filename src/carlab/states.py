@@ -21,7 +21,6 @@ from .linalg import (
     trace_norm,
     unit_vector_pair,
 )
-from .truncation import level_of_dim
 
 
 @dataclass(frozen=True)
@@ -38,21 +37,6 @@ class VectorState:
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
-
-    @property
-    def level(self) -> int:
-        """Truncation level whose dimension is the state's (see `level_of_dim`)."""
-        return level_of_dim(self.dim)
-
-
-def evaluate(state: VectorState, a) -> complex:
-    """Value of the state on an algebra element: <a v, v>."""
-    a = as_square_matrix(a)
-    if a.shape[0] != state.dim:
-        raise InvalidInputError(
-            f"element dimension {a.shape[0]} != state dimension {state.dim}"
-        )
-    return complex(np.vdot(state.vector, a @ state.vector))
 
 
 def pullback(state: VectorState, u) -> VectorState:

@@ -25,7 +25,6 @@ from .config import CONSTRUCTION_TOL, CONTRACTION_SLACK, DISTANCE_STRICTNESS, MA
 from .config import WITNESS_STRICTNESS, block_rows, check_count
 from .errors import DomainError, InvalidInputError, NumericalInvariantError, SizeLimitError
 from .linalg import (
-    as_square_matrix,
     haar_unitary,
     operator_norms,
     random_hermitian_contraction,
@@ -58,15 +57,20 @@ class UnitaryNet:
         return self.elements.shape[0]
 
 
+def _element_cap(dim: int, kind: str) -> int:
+    """Most (dim, dim) complex elements a `kind` net may hold, once dim passes."""
+    if dim < 1 or dim > MAX_DIM:
+        raise InvalidInputError(f"bad {kind} dimension {dim}")
+    return _NET_BYTES_CAP // (16 * dim * dim)
+
+
 def _net_cap(dim: int, epsilon: float, size: int | None = None) -> int:
     """Most elements a net of U(dim) may hold, once dim, a random net's size and epsilon pass."""
-    if dim < 1 or dim > MAX_DIM:
-        raise InvalidInputError(f"bad net dimension {dim}")
+    cap = _element_cap(dim, "net")
     if size is not None and size < 1:
         raise InvalidInputError("net size must be positive")
     if not 0.0 < epsilon <= 1.0:
         raise DomainError("net resolution must lie in (0, 1]")
-    cap = _NET_BYTES_CAP // (16 * dim * dim)
     if size is not None and size + 1 > cap:
         msg = f"random net at dim {dim} needs {size + 1} elements (cap {cap})"
         raise SizeLimitError(msg, estimated_size=size + 1)
@@ -305,15 +309,6 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     return index, best
 
 
-def nearest_net_element(net: UnitaryNet, u) -> tuple[int, float]:
-    """Index and operator-norm distance of the closest net element."""
-    u = as_square_matrix(u)
-    if u.shape[0] != net.dim:
-        raise InvalidInputError("dimension mismatch with net")
-    index, dist = _nearest(net.elements, u[None])
-    return int(index[0]), float(dist[0])
-
-
 @dataclass(frozen=True)
 class DensityReport:
     """Statistical covering check of a net against random probes."""
@@ -354,11 +349,9 @@ class TestElementNet:
 
 def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestElementNet:
     """Matrix units plus seeded random Hermitian contractions, under the net byte cap."""
-    if dim < 1 or dim > MAX_DIM:
-        raise InvalidInputError(f"bad test-net dimension {dim}")
+    cap = _element_cap(dim, "test-net")
     if n_random < 0:
         raise InvalidInputError(f"random test-element count {n_random} is negative")
-    cap = _NET_BYTES_CAP // (16 * dim * dim)
     if dim * dim + n_random > cap:
         msg = f"test net at dim {dim} needs {dim * dim + n_random} elements (cap {cap})"
         raise SizeLimitError(msg, estimated_size=dim * dim + n_random)

@@ -2,10 +2,11 @@
 
 Dense or scalar constructions the package itself never needs: rank-one
 projectors, parametrized rotations, and the explicit two-plane unitary
-and the vector pairs it is tested on, to build expected values from; the
-test-set gap sup_a |phi(a) - psi(u a u*)| the witness search is checked
-against, the writer of the angle-file format the package reads, the
-level-to-dimension map, the sequential per-pair compass search the
+and the vector pairs it is tested on, to build expected values from; a
+vector state's value <a v, v> on one element, the test-set gap
+sup_a |phi(a) - psi(u a u*)| the witness search is checked against, the
+nearest net element to a single unitary, the writer of the angle-file
+format the package reads, the level-to-dimension map, the sequential per-pair compass search the
 lockstep oracle search is checked against, the whole-chunk witness
 scan the growing-block scan is checked against, the one-step-at-a-time
 splitmix64 loop the vectorized seed stream is checked against, the
@@ -35,7 +36,7 @@ from carlab.seeding import check_seed
 from carlab.sequences import validate_angles
 from carlab.states import VectorState
 from carlab.truncation import check_level
-from carlab.witness import _CHUNK, TestElementNet, UnitaryNet, WitnessResult
+from carlab.witness import _CHUNK, TestElementNet, UnitaryNet, WitnessResult, _nearest
 
 
 def projector(v) -> np.ndarray:
@@ -99,6 +100,16 @@ def two_plane_pair(kind: str, log_s: float, dim: int, rng: np.random.Generator):
     return xi, np.sqrt(1.0 - s * s) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * xi + s * w
 
 
+def evaluate(state: VectorState, a) -> complex:
+    """Value of the state on an algebra element: <a v, v>."""
+    a = as_square_matrix(a)
+    if a.shape[0] != state.dim:
+        raise InvalidInputError(
+            f"element dimension {a.shape[0]} != state dimension {state.dim}"
+        )
+    return complex(np.vdot(state.vector, a @ state.vector))
+
+
 def sup_gap(
     phi: VectorState,
     psi: VectorState,
@@ -123,6 +134,15 @@ def sup_gap(
                   - complex(np.vdot(pulled, a @ pulled)))
         worst = max(worst, gap)
     return worst
+
+
+def nearest_net_element(net: UnitaryNet, u) -> tuple[int, float]:
+    """Index and operator-norm distance of the closest net element."""
+    u = as_square_matrix(u)
+    if u.shape[0] != net.dim:
+        raise InvalidInputError("dimension mismatch with net")
+    index, dist = _nearest(net.elements, u[None])
+    return int(index[0]), float(dist[0])
 
 
 def write_angle_file(path, values) -> None:

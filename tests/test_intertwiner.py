@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from carlab import intertwiner, linalg, sequences, truncation
 from carlab.errors import InvalidInputError, LevelError, NumericalInvariantError
-from carlab.states import VectorState, evaluate
+from carlab.states import VectorState
 from carlab.witness import build_test_element_net
+from reference import evaluate
 
 
 def _angles(desc, n):
@@ -18,15 +19,15 @@ def _angles(desc, n):
 
 
 def _dense_level(chain, n):
-    """Reference only: the 2^n x 2^n level unitary u_1 (x) ... (x) u_n."""
-    return reduce(np.kron, [record.factor for record in chain.levels[:n]])
+    """Reference only: the 2^n x 2^n level unitary u_1 (x) ... (x) u_n, v_0 = 1."""
+    return reduce(np.kron, chain.factors[:n], np.eye(1))
 
 
 def test_truncated_product_state_zero_angles():
     state = VectorState(truncation.product_vector(np.zeros(4)[:3]))
     a = np.diag(np.arange(8.0))
     assert evaluate(state, a) == pytest.approx(0.0)
-    assert state.level == 3
+    assert truncation.level_of_dim(state.dim) == 3
 
 
 def test_truncated_product_state_single_factor():
@@ -52,30 +53,29 @@ def test_step_unitary_carries_angle_vectors():
 def test_chain_identity_when_angles_equal():
     alpha = _angles("harmonic", 5)
     chain = intertwiner.build_chain(alpha, alpha, 5)
-    for record in chain.levels:
-        np.testing.assert_allclose(
-            _dense_level(chain, record.n), np.eye(2**record.n), atol=1e-14
-        )
-        assert record.gap_to_prev == pytest.approx(0.0, abs=1e-12)
+    for n in range(1, 6):
+        np.testing.assert_allclose(_dense_level(chain, n), np.eye(2**n), atol=1e-14)
+        assert intertwiner.block_gap(chain, n - 1, n).measured == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chain_single_step_gap():
     theta = 0.7
     chain = intertwiner.build_chain([theta], [0.0], 1)
-    record = chain.level(1)
-    assert record.gap_to_prev == pytest.approx(2 * abs(np.sin(theta / 2)), abs=1e-12)
-    assert record.gap_to_prev == pytest.approx(np.sqrt(2 * (1 - np.cos(theta))), abs=1e-12)
-    assert record.overlap_bound == pytest.approx(record.gap_to_prev, abs=1e-12)
+    gap = intertwiner.block_gap(chain, 0, 1)
+    assert gap.measured == pytest.approx(2 * abs(np.sin(theta / 2)), abs=1e-12)
+    assert gap.measured == pytest.approx(np.sqrt(2 * (1 - np.cos(theta))), abs=1e-12)
+    assert gap.overlap_bound == pytest.approx(gap.measured, abs=1e-12)
 
 
 def test_chain_per_step_gap_identity():
     alpha = _angles("harmonic", 8)
     beta = _angles("zero", 8)
     chain = intertwiner.build_chain(alpha, beta, 8)
-    for record in chain.levels:
-        theta = alpha[record.n - 1]
-        assert abs(record.gap_to_prev - np.sqrt(2 * (1 - np.cos(theta)))) <= 1e-10
-        assert abs(record.eigenphase_norm - record.gap_to_prev) <= 1e-10
+    for n in range(1, 9):
+        gap = intertwiner.block_gap(chain, n - 1, n)
+        theta = alpha[n - 1]
+        assert abs(gap.measured - np.sqrt(2 * (1 - np.cos(theta)))) <= 1e-10
+        assert abs(gap.eigenphase_norm - gap.measured) <= 1e-10
 
 
 def test_chain_carries_product_vectors():
@@ -110,12 +110,10 @@ def test_verify_chain_bounds_accumulated_drift():
     # each factor is off unitarity by 3e-10, under the 1e-9 tolerance alone;
     # the level-n product is off by (1 + 3e-10)^n - 1, over it from n = 4
     chain = intertwiner.build_chain(np.zeros(8), np.zeros(8), 8)
-    scaled = tuple(
-        replace(record, factor=record.factor * (1.0 + 1.5e-10)) for record in chain.levels
-    )
-    intertwiner._verify_chain(replace(chain, levels=scaled[:3]))
+    scaled = chain.factors * (1.0 + 1.5e-10)
+    intertwiner._verify_chain(replace(chain, factors=scaled[:3]))
     with pytest.raises(NumericalInvariantError, match="level 4 is not unitary"):
-        intertwiner._verify_chain(replace(chain, levels=scaled))
+        intertwiner._verify_chain(replace(chain, factors=scaled))
 
 
 def test_verify_chain_rejects_missed_carrier():
@@ -160,7 +158,9 @@ def test_block_gap_dense_cross_check(policy):
     alpha = _angles("random:0.9:5", 8)
     beta = _angles("harmonic", 8)
     chain = intertwiner.build_chain(alpha, beta, 8, phase_policy=policy)
-    for gap in intertwiner.block_gaps(chain, max_span=7):
+    # blocks from v_0 = 1 too: with block_gaps' span-1 blocks, every per-level gap
+    from_unit = [intertwiner.block_gap(chain, 0, n) for n in range(1, 8)]
+    for gap in from_unit + intertwiner.block_gaps(chain, max_span=7):
         vm = truncation.embed(_dense_level(chain, gap.start), gap.end)
         dense = linalg.operator_norm(vm - _dense_level(chain, gap.end))
         assert abs(gap.measured - dense) <= 1e-12
@@ -168,7 +168,7 @@ def test_block_gap_dense_cross_check(policy):
 
 def _dense_block_gap(chain, m, n):
     """Reference only: ||I - W|| for the dense W = u_{m+1} (x) ... (x) u_n."""
-    block = reduce(np.kron, [record.factor for record in chain.levels[m:n]])
+    block = reduce(np.kron, chain.factors[m:n])
     return linalg.operator_norm(np.eye(block.shape[0]) - block)
 
 
@@ -187,19 +187,21 @@ _pair = st.one_of(
 @settings(deadline=None, max_examples=150)
 @given(
     policy=st.sampled_from(intertwiner.PHASE_POLICIES),
+    start=st.sampled_from([0, 1]),
     pairs=st.integers(1, 8).flatmap(lambda span: st.one_of(
         st.lists(_pair, min_size=span, max_size=span),
         _pair.map(lambda p: [p] * span),
     )),
 )
-def test_block_gap_equals_dense_norm_at_spectral_edges(policy, pairs):
+def test_block_gap_equals_dense_norm_at_spectral_edges(policy, start, pairs):
     # repeated pairs give coincident factor eigenvalues; under
-    # "eigenvalue-one" every factor has eigenvalue 1, exactly so at theta = 0
-    alpha, beta = np.array([(0.3, 0.0), *pairs]).T
-    span = len(pairs)
-    chain = intertwiner.build_chain(alpha, beta, span + 1, phase_policy=policy)
-    gap = intertwiner.block_gap(chain, 1, span + 1)
-    assert abs(gap.measured - _dense_block_gap(chain, 1, span + 1)) <= 1e-12
+    # "eigenvalue-one" every factor has eigenvalue 1, exactly so at theta = 0.
+    # From start 0, a span-1 block is the per-level gap of level 1.
+    alpha, beta = np.array([(0.3, 0.0)] * start + pairs).T
+    end = start + len(pairs)
+    chain = intertwiner.build_chain(alpha, beta, end, phase_policy=policy)
+    gap = intertwiner.block_gap(chain, start, end)
+    assert abs(gap.measured - _dense_block_gap(chain, start, end)) <= 1e-12
 
 
 @pytest.mark.parametrize("policy", intertwiner.PHASE_POLICIES)
@@ -221,8 +223,9 @@ def test_block_gap_working_memory_is_small(policy):
 
 def test_block_gap_bad_indices():
     chain = intertwiner.build_chain([0.1, 0.2], [0.0, 0.0], 2)
-    with pytest.raises(LevelError):
-        intertwiner.block_gap(chain, 2, 2)
+    for m, n in ((2, 2), (-1, 1)):
+        with pytest.raises(LevelError):
+            intertwiner.block_gap(chain, m, n)
 
 
 def test_intertwining_gap_identity_element():
@@ -255,7 +258,7 @@ def test_intertwining_gap_with_phase_policy():
     assert intertwiner.intertwining_gap(chain, 6, batch) <= 1e-9
     # but the per-step gaps differ from the bare-rotation chain
     bare = intertwiner.build_chain(alpha, beta, 6)
-    assert chain.level(1).gap_to_prev > bare.level(1).gap_to_prev
+    assert intertwiner.block_gap(chain, 0, 1).measured > intertwiner.block_gap(bare, 0, 1).measured
 
 
 @pytest.mark.parametrize("policy", intertwiner.PHASE_POLICIES)
@@ -339,3 +342,14 @@ def test_distance_crossing_level_refuses_vacuous_thresholds():
             intertwiner.distance_crossing_level(alpha, beta, threshold=threshold)
     assert intertwiner.distance_crossing_level(alpha, beta, threshold=0.0) == 1
     assert intertwiner.distance_crossing_level(alpha, beta, threshold=np.nextafter(2.0, 0)) is None
+
+
+@pytest.mark.parametrize(
+    "start, limit",
+    [(70, 64), (0, 64), (-3, 64), (5, 3), (65, 100)],
+)
+def test_distance_crossing_level_refuses_empty_windows(start, limit):
+    # a None here would read as "never crosses"; levels 1..min(64, limit) exist
+    alpha, beta = _angles("invsqrt", 64), _angles("zero", 64)
+    with pytest.raises(InvalidInputError, match="window"):
+        intertwiner.distance_crossing_level(alpha, beta, start=start, limit=limit)

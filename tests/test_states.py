@@ -7,12 +7,11 @@ from carlab import linalg
 from carlab.errors import InvalidInputError
 from carlab.states import (
     VectorState,
-    evaluate,
     pullback,
     separation_witness,
     state_distance,
 )
-from reference import projector, rotation_unitary, sup_gap
+from reference import evaluate, projector, rotation_unitary, sup_gap
 
 
 def _pair_with_overlap(c: float, dim: int = 4) -> tuple[np.ndarray, np.ndarray]:

