@@ -3,7 +3,7 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 29 invocations (the seven README commands, the ten
+Runs a fixed list of 31 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
 `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
@@ -13,7 +13,8 @@ whose 200 density probes take many slices of exact norms, and
 `cauchy-gaps` at level 12 with spans up to 11, where a block gap
 multiplies up to 2^11 factor eigenvalues, and a `reduce` at level 12
 under `--phase-policy eigenvalue-one`, whose per-level rows are span-1
-block gaps at the level cap), each with
+block gaps at the level cap, and `reduce` and `cauchy-gaps` one level past
+that cap, refused as size limits), each with
 `--out json` and `--out csv`, as `python -m carlab.cli` under each
 tree's `src` with one BLAS thread.
 For every run it prints whether the exit codes, stderr and stdout (up to
@@ -77,6 +78,8 @@ INVOCATIONS = [
     "cauchy-gaps --alpha harmonic --beta random:0.3:1 --levels 12 --max-span 11 --seed 1",
     "reduce --alpha harmonic --beta random:0.3:1 --levels 12 --length 400"
     " --phase-policy eigenvalue-one --seed 1",
+    "reduce --alpha zero --beta zero --levels 13",
+    "cauchy-gaps --alpha zero --beta zero --levels 13",
 ]
 
 _INT = re.compile(r"[+-]?\d+")

@@ -34,6 +34,7 @@ from .intertwiner import (
 from .linalg import haar_unitary, phase_align, random_unit_vector
 from .orbit import (
     SearchResult,
+    check_budget,
     min_distance_closed_form,
     min_distance_searches,
     product_min_distance,
@@ -283,6 +284,8 @@ def run_separation(args):
 
 def run_fsigma_search(args):
     """Witness search over a unitary net for pulled-back state pairs."""
+    if args.density_check:  # refused before the net is built and searched
+        check_count(args.density_probes, "density probe count")
     if args.net == "exhaustive" or (args.net == "auto" and args.dim == 2):
         net = enumerate_net(args.dim, args.epsilon)
     else:
@@ -413,6 +416,13 @@ def seed_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def budget_int(text: str) -> int:
+    try:
+        return check_budget(int(text))
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -448,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
     p.add_argument("--trials", type=positive_int, default=100)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=budget_int, default=2000)
     _add_common(p)
     p.set_defaults(run=run_min_distance)
 
@@ -457,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="adjudicate the product-state distance constant with the state-mode oracle",
     )
     p.add_argument("--pairs", type=positive_int, default=50)
-    p.add_argument("--budget", type=int, default=6000)
+    p.add_argument("--budget", type=budget_int, default=6000)
     _add_common(p)
     p.set_defaults(run=run_product_distance)
 

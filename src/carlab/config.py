@@ -2,16 +2,17 @@
 
 Matrices are dense complex128 where they are formed; chains and pairs of
 vector states keep their tensor structure and form none of full
-dimension.  The caps (dimension 4096, level 12) keep eigen-decompositions
-trustworthy and memory bounded; everything above them is rejected rather
-than approximated.  Kernels that stack many small matrices work in
-blocks of at most BLOCK_BYTES, sized by `block_rows`.
+dimension.  Every cap is compared here (level 12, so dimension 2^12;
+2^24 array entries; 128 MB of net elements): past one, a request is
+refused with a SizeLimitError.  Blocked kernels work in BLOCK_BYTES.
 """
+
+import sys
 
 from .errors import SizeLimitError
 
-MAX_DIM = 4096
 MAX_LEVEL = 12
+MAX_DIM = 1 << MAX_LEVEL
 UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
 CONTRACTION_SLACK = 1e-9
@@ -19,6 +20,7 @@ CONSTRUCTION_TOL = 1e-9  # a built unitary's miss of unitarity or of its carried
 WITNESS_STRICTNESS = 1e-12
 DISTANCE_STRICTNESS = 1e-9  # margin by which a witness's distance must clear 2
 MAX_COUNT = 1 << 24
+MAX_NET_BYTES = 128_000_000  # of complex128 unitary or test-net elements: 2,000,000 at dim 2
 # One working array of a blocked kernel, a few of which fit a 2 MiB L2
 # cache together: a drawn block of Haar unitaries or test contractions, a
 # block of net elements checked for unitarity, a float (probes x
@@ -37,3 +39,15 @@ def check_count(count: int, what: str) -> int:
     if count > MAX_COUNT:
         raise SizeLimitError(f"{what} {count} exceeds the cap {MAX_COUNT}", estimated_size=count)
     return count
+
+
+def check_dim(dim: int, what: str) -> int:
+    """`dim`, refused past MAX_DIM: the widest vector or matrix side formed (2^MAX_LEVEL)."""
+    if dim > MAX_DIM:
+        raise SizeLimitError(f"{what} {dim} exceeds the cap {MAX_DIM}", estimated_size=dim)
+    return dim
+
+
+def pow2(n: int) -> int | float:
+    """2^n for n >= 0, or inf past the float range: a size never too long to print or report."""
+    return 1 << n if n < sys.float_info.max_exp else float("inf")

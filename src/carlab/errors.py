@@ -12,7 +12,7 @@ class DomainError(InvalidInputError):
 
 
 class LevelError(InvalidInputError):
-    """Truncation-level bookkeeping error (bad ordering or out of cap)."""
+    """Truncation-level bookkeeping error (negative level, bad ordering, dimension not 2^n)."""
 
 
 class SizeLimitError(ValueError):

@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .sequences import overlap_partial_products, paired_angles
 from .states import VectorState, separation_witness, state_distance
-from .truncation import level_of_dim, product_vector
+from .truncation import check_level, level_of_dim, product_vector
 
 PHASE_POLICIES = ("none", "eigenvalue-one")
 
@@ -89,8 +89,7 @@ def build_chain(
     a, b = paired_angles(alpha, beta)
     if levels < 1 or levels > a.size:
         raise InvalidInputError(f"need 1 <= levels <= {a.size}, got {levels}")
-    if levels > MAX_LEVEL:
-        raise LevelError(f"levels {levels} exceeds cap {MAX_LEVEL}")
+    check_level(levels)
     factors = np.array([step_unitary(a[j], b[j], phase_policy) for j in range(levels)])
     chain = IntertwinerChain(alpha=a, beta=b, phase_policy=phase_policy, factors=factors)
     _verify_chain(chain)

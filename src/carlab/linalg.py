@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import UNIT_NORM_TOL, UNITARY_TOL
-from .errors import InvalidInputError, SizeLimitError
+from .config import UNIT_NORM_TOL, UNITARY_TOL, check_count, pow2
+from .errors import InvalidInputError
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -222,11 +222,7 @@ def phase_combination_norm(phase_pairs: Sequence[tuple[float, float]]) -> float:
     of one eigenphase per factor, so this is the exact operator norm of
     (I - tensor product) given the per-factor eigenphase pairs.
     """
-    if len(phase_pairs) > 24:
-        raise SizeLimitError(
-            f"{len(phase_pairs)} factors means 2^{len(phase_pairs)} sign patterns",
-            estimated_size=2.0 ** len(phase_pairs),
-        )
+    check_count(pow2(len(phase_pairs)), f"{len(phase_pairs)} factors: sign pattern count")
     sums = np.zeros(1)
     for p, q in phase_pairs:
         sums = np.concatenate([sums + p, sums + q])

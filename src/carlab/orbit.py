@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import MAX_DIM, block_rows
-from .errors import DomainError, InvalidInputError, SizeLimitError
+from .config import block_rows, check_dim
+from .errors import DomainError, InvalidInputError
 from .linalg import (
     expi_hermitian,
     hermitian_from_params,
@@ -197,6 +197,13 @@ def _lockstep_search(
     return results
 
 
+def check_budget(budget: int) -> int:
+    """`budget`, refused below 1000 objective evaluations per pair: too few to converge."""
+    if budget < 1000:
+        raise InvalidInputError("oracle budget must be at least 1000")
+    return budget
+
+
 def _check_oracle_inputs(xis, etas, budget: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Pairs of unit vectors of one supported dimension, one seed per pair."""
     if not len(xis) or not len(xis) == len(etas) == len(seeds):
@@ -208,8 +215,7 @@ def _check_oracle_inputs(xis, etas, budget: int, seeds) -> tuple[np.ndarray, np.
     dim = dims.pop()
     if dim not in _ORACLE_DIMS:
         raise DomainError(f"search oracle supports dimensions {_ORACLE_DIMS}, got {dim}")
-    if budget < 1000:
-        raise InvalidInputError("oracle budget must be at least 1000")
+    check_budget(budget)
     return np.stack([xi for xi, _ in pairs]), np.stack([eta for _, eta in pairs])
 
 
@@ -337,12 +343,7 @@ def product_min_distance(xis: Sequence, etas: Sequence) -> ProductDistanceReport
         x, e = unit_vector_pair(x, e)
         if x.shape[0] < 2:
             raise InvalidInputError("factors must be vectors of dimension >= 2")
-        total *= x.shape[0]
-        if total > MAX_DIM:
-            raise SizeLimitError(
-                f"product dimension exceeds cap {MAX_DIM}",
-                estimated_size=total,
-            )
+        total = check_dim(total * x.shape[0], "product dimension")
         with np.errstate(divide="ignore"):
             log_p += float(np.log(min(abs(np.vdot(x, e)), 1.0)))
     p = float(np.exp(log_p))

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import MAX_LEVEL
-from .errors import LevelError, SizeLimitError
+from .config import check_dim, pow2
+from .errors import LevelError
 from .linalg import as_square_matrix
 from .sequences import validate_angles
 
 
 def check_level(n: int) -> int:
-    """Validate a truncation level against the level cap."""
+    """A truncation level: negative is a LevelError, a dimension 2^n past the cap a size limit."""
     n = int(n)
-    if not 0 <= n <= MAX_LEVEL:
-        raise LevelError(f"level {n} outside [0, {MAX_LEVEL}]")
+    if n < 0:
+        raise LevelError(f"level {n} is negative")
+    check_dim(pow2(n), f"level {n}: dimension")
     return n
 
 
@@ -57,11 +58,7 @@ def product_vector(angles) -> np.ndarray:
     arr = validate_angles(angles)
     if arr.size == 0:
         raise LevelError("need at least one angle")
-    if arr.size > MAX_LEVEL:
-        raise SizeLimitError(
-            f"{arr.size} factors exceed the level cap {MAX_LEVEL}",
-            estimated_size=2.0 ** arr.size,
-        )
+    check_level(arr.size)
     out = np.ones(1, dtype=np.complex128)
     for a in arr:
         out = np.kron(out, np.array([np.cos(a), np.sin(a)], dtype=np.complex128))

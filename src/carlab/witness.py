@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CONSTRUCTION_TOL, CONTRACTION_SLACK, DISTANCE_STRICTNESS, MAX_DIM
-from .config import WITNESS_STRICTNESS, block_rows, check_count
+from .config import CONSTRUCTION_TOL, CONTRACTION_SLACK, DISTANCE_STRICTNESS, MAX_NET_BYTES
+from .config import WITNESS_STRICTNESS, block_rows, check_count, check_dim
 from .errors import DomainError, InvalidInputError, NumericalInvariantError, SizeLimitError
 from .linalg import (
     haar_unitary,
@@ -31,8 +31,6 @@ from .linalg import (
 )
 from .states import VectorState, pullback, state_distance
 
-# 128 MB of complex128 elements of a unitary or test-element net: 2,000,000 at dim 2
-_NET_BYTES_CAP = 128_000_000
 _CHUNK = 8192
 _FIRST_BLOCK = 64
 # candidates per probe normed before the reach is lowered to their best
@@ -59,9 +57,9 @@ class UnitaryNet:
 
 def _element_cap(dim: int, kind: str) -> int:
     """Most (dim, dim) complex elements a `kind` net may hold, once dim passes."""
-    if dim < 1 or dim > MAX_DIM:
+    if dim < 1:
         raise InvalidInputError(f"bad {kind} dimension {dim}")
-    return _NET_BYTES_CAP // (16 * dim * dim)
+    return MAX_NET_BYTES // (16 * check_dim(dim, f"{kind} dimension") ** 2)
 
 
 def _net_cap(dim: int, epsilon: float, size: int | None = None) -> int:
@@ -240,9 +238,10 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     still within it are normed.  Every pair left out is strictly farther
     than some normed one, so it can neither win nor tie.
 
-    Element chunks of `_CHUNK` run outside and probe tiles inside, so a
-    chunk's columns are formed once; a tile's float (probe, element) arrays,
-    allocated once per chunk, stay within the block budget.
+    Element chunks of at most `_CHUNK` run outside and probe tiles inside,
+    so a chunk's columns are formed once; a chunk's columns, 16 d^2 bytes
+    per element, stay within 16 block budgets, and a tile's float (probe,
+    element) arrays, allocated once per chunk, within one.
     """
     n, d, count = elements.shape[0], elements.shape[-1], probes.shape[0]
     best = np.full(count, np.inf)
@@ -251,7 +250,7 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     # norm by about 2d^2 eps, each times ||N e_j||^2 + ||u e_j||^2 at most;
     # 64 d^2 eps times the largest such column norms covers both.
     slack = 64.0 * d * d * np.finfo(np.float64).eps
-    chunk = min(n, _CHUNK)
+    chunk = min(n, _CHUNK, block_rows(d * d))
     step = block_rows(8 * chunk)
     # a slice forms about four (pairs, d, d) complex arrays: operands, differences, Gram matrices
     pairs = block_rows(64 * d * d)

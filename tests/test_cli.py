@@ -357,6 +357,46 @@ def test_count_cap_boundary():
         config.check_count(config.MAX_COUNT + 1, "count")
 
 
+@pytest.mark.parametrize("command", ["reduce", "cauchy-gaps", "separation"])
+def test_level_cap_is_a_size_limit_in_every_subcommand(tmp_path, capsys, command):
+    out = tmp_path / "x.json"
+    argv = [command, "--alpha", "zero", "--beta", "zero", "--levels", "13"]
+    assert _timed_main(argv + ["--output", str(out)]) == 3
+    record = _only_error_record(capsys)
+    assert record["error"] == "size-limit"
+    assert record["estimated_size"] == 8192.0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["min-distance", "product-distance"])
+def test_low_budget_refused_before_any_draw(tmp_path, capsys, monkeypatch, command):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a vector was drawn before the budget was checked")
+
+    monkeypatch.setattr(cli, "random_unit_vector", no_draw)
+    out = tmp_path / "x.json"
+    argv = [command, "--budget", "10", "--output", str(out)]
+    assert _timed_main(argv) == 2
+    record = _only_error_record(capsys)
+    assert record["error"] == "config"
+    assert "budget must be at least 1000" in record["message"]
+    assert not out.exists()
+
+
+def test_density_probe_cap_refused_before_the_net_is_built(tmp_path, capsys, monkeypatch):
+    def no_net(*args, **kwargs):
+        raise AssertionError("the net was built before the probe count was checked")
+
+    monkeypatch.setattr(cli, "enumerate_net", no_net)
+    out = tmp_path / "x.json"
+    argv = ["fsigma-search", "--density-check", "--density-probes", str(config.MAX_COUNT + 1)]
+    assert _timed_main(argv + ["--output", str(out)]) == 3
+    record = _only_error_record(capsys)
+    assert record["error"] == "size-limit"
+    assert record["estimated_size"] == config.MAX_COUNT + 1
+    assert not out.exists()
+
+
 def _only_error_record(capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1

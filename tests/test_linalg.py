@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlab import intertwiner, linalg, orbit, states
-from carlab.errors import DomainError, InvalidInputError
+from carlab.errors import DomainError, InvalidInputError, SizeLimitError
 from reference import projector, rotation_unitary, two_plane_pair, two_plane_reference
 
 
@@ -373,6 +373,14 @@ _MISMATCHED = [
 def test_mismatched_pair_rejected_at_every_entry_point(entry, pair):
     with pytest.raises(InvalidInputError):
         entry(*pair)
+
+
+@pytest.mark.parametrize("k, size", [(25, 2**25), (5000, np.inf)])
+def test_phase_combination_norm_sign_patterns_are_a_count(k, size):
+    # 2^k sign patterns: one past the count cap is refused, and so is one past a float
+    with pytest.raises(SizeLimitError) as info:
+        linalg.phase_combination_norm([(0.1, -0.1)] * k)
+    assert info.value.estimated_size == size
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])

@@ -13,8 +13,23 @@ def test_level_bookkeeping():
     assert truncation.level_of_dim(16) == 4
     with pytest.raises(LevelError):
         truncation.level_of_dim(12)
-    with pytest.raises(LevelError):
+    with pytest.raises(SizeLimitError):
         truncation.check_level(13)
+
+
+@pytest.mark.parametrize("n, size", [(13, 8192), (1023, 2**1023), (2000, np.inf), (10**100, np.inf)])
+def test_level_past_the_cap_is_a_size_limit(n, size):
+    # 2^n is formed only once n is known to fit a float
+    with pytest.raises(SizeLimitError) as info:
+        truncation.check_level(n)
+    assert info.value.estimated_size == size
+
+
+@pytest.mark.parametrize("n, size", [(13, 8192), (2000, np.inf)])
+def test_product_vector_past_the_level_cap_is_a_size_limit(n, size):
+    with pytest.raises(SizeLimitError) as info:
+        truncation.product_vector(np.zeros(n))
+    assert info.value.estimated_size == size
 
 
 def test_embed_identity_cases():

@@ -126,7 +126,7 @@ def test_exhaustive_net_covers_within_proven_radius_dim1(epsilon, seed):
         witness.exhaustive_net_plan(1, epsilon)
     except SizeLimitError:
         # at most 8,000,000 phases: too few to come within epsilon < 3.93e-7
-        assert np.pi / epsilon > witness._NET_BYTES_CAP // 16
+        assert np.pi / epsilon > config.MAX_NET_BYTES // 16
         return
     _assert_covered(1, epsilon, seed)
 
@@ -371,6 +371,21 @@ def test_exhaustive_net_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= net.elements.nbytes + 6 * config.BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "request_net",
+    [
+        lambda: witness.enumerate_net(config.MAX_DIM + 1, 0.4),
+        lambda: witness.random_net(config.MAX_DIM + 1, 0.4, size=1, seed=0),
+        lambda: witness.build_test_element_net(config.MAX_DIM + 1),
+    ],
+    ids=["enumerate_net", "random_net", "build_test_element_net"],
+)
+def test_net_dimension_past_the_cap_is_a_size_limit(request_net):
+    with pytest.raises(SizeLimitError) as info:
+        request_net()
+    assert info.value.estimated_size == config.MAX_DIM + 1
 
 
 def test_net_resolution_validation():
