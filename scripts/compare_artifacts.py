@@ -3,7 +3,7 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 31 invocations (the seven README commands, the ten
+Runs a fixed list of 34 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
 `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
@@ -14,7 +14,10 @@ whose 200 density probes take many slices of exact norms, and
 multiplies up to 2^11 factor eigenvalues, and a `reduce` at level 12
 under `--phase-policy eigenvalue-one`, whose per-level rows are span-1
 block gaps at the level cap, and `reduce` and `cauchy-gaps` one level past
-that cap, refused as size limits), each with
+that cap, refused as size limits, and three `power:8` runs whose angles
+fall below 1.05e-8, where cos t rounds to 1: span-1 `cauchy-gaps` to
+level 12, and `separation` from factor 10 and, at threshold 1e-12, from
+factor 20), each with
 `--out json` and `--out csv`, as `python -m carlab.cli` under each
 tree's `src` with one BLAS thread.
 For every run it prints whether the exit codes, stderr and stdout (up to
@@ -80,6 +83,10 @@ INVOCATIONS = [
     " --phase-policy eigenvalue-one --seed 1",
     "reduce --alpha zero --beta zero --levels 13",
     "cauchy-gaps --alpha zero --beta zero --levels 13",
+    "cauchy-gaps --alpha power:8 --beta zero --levels 12 --max-span 1",
+    "separation --alpha power:8 --beta zero --start 10 --levels 3 --search-limit 4000",
+    "separation --alpha power:8 --beta zero --start 20 --levels 3 --threshold 1e-12"
+    " --search-limit 4000",
 ]
 
 _INT = re.compile(r"[+-]?\d+")

@@ -35,7 +35,6 @@ from .linalg import haar_unitary, phase_align, random_unit_vector
 from .orbit import (
     SearchResult,
     check_budget,
-    min_distance_closed_form,
     min_distance_searches,
     product_min_distance,
     state_min_distance_searches,
@@ -154,14 +153,14 @@ def run_min_distance(args):
     rows = []
     worst = 0.0
     for trial, (xi, eta, search) in enumerate(zip(xis, etas, searches)):
-        report = min_distance_closed_form(xi, eta)
-        err = abs(search.distance - report.closed_form_distance)
+        report = product_min_distance([xi], [eta])
+        err = abs(search.distance - report.distance_single)
         worst = max(worst, err)
         rows.append(
             {
                 "trial": trial,
-                "abs_overlap": report.abs_overlap,
-                "closed_form": report.closed_form_distance,
+                "abs_overlap": report.overlap_product,
+                "closed_form": report.distance_single,
                 "oracle": search.distance,
                 "abs_error": err,
                 **_search_diagnostics(search),

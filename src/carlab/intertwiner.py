@@ -6,9 +6,10 @@ stack of its 2x2 factors: no 2^n x 2^n unitary, of a level or of a block,
 is ever formed.  Every gap is a block gap, the per-step gap included as
 the span-1 block (n - 1, n).  It is measured from the spectra of the
 block's factors, computed in closed form from eigenphase sign patterns,
-and compared against the overlap-product bound sqrt(2 (1 - prod cos)).
-The comparison is reported honestly: the bound is known to fail for long
-blocks, so it is never asserted.
+and compared against the overlap-product bound sqrt(2 (1 - prod cos)),
+which is reported honestly, never asserted: it fails for long blocks.
+That bound and the tail-state distances 2 sqrt(1 - P^2) are `sequences`
+maps of the cosine products, kept in log space from the half angles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .linalg import (
     phase_combination_norm,
     plane_rotation,
 )
-from .sequences import overlap_partial_products, paired_angles
+from .sequences import chord_distances, cosine_products, paired_angles, trace_distances
 from .states import VectorState, separation_witness, state_distance
 from .truncation import check_level, level_of_dim, product_vector
 
@@ -184,8 +185,7 @@ def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
     spectral = phase_combination_norm(
         [_step_phase_pair(float(t), chain.phase_policy) for t in thetas]
     )
-    prod = float(np.prod(np.cos(thetas)))
-    bound = float(np.sqrt(2.0 * max(1.0 - prod, 0.0)))
+    bound = float(chord_distances(*cosine_products(thetas))[-1])
     return BlockGap(
         start=m,
         end=n,
@@ -236,15 +236,14 @@ def separation_rows(
     if not 1 <= start <= stop <= a.size:
         raise InvalidInputError(f"bad window [{start}, {stop}] for length {a.size}")
     rows = []
-    products = overlap_partial_products(a, b, start - 1, stop)
+    # the cosine product equals <xi|eta> (checked elsewhere to 1e-10) and
+    # stays exact where the vector inner product would cancel
+    signs, logs = cosine_products(a[start - 1 : stop] - b[start - 1 : stop])
     for n in range(start, stop + 1):
         xi = product_vector(a[start - 1 : n])
         eta = product_vector(b[start - 1 : n])
-        # the cosine product equals <xi|eta> (checked elsewhere to 1e-10)
-        # and stays exact where the vector inner product would cancel
-        overlap = float(products[n - start])
         dist = state_distance(VectorState(xi), VectorState(eta))
-        expected = 2.0 * np.sqrt(max(1.0 - overlap * overlap, 0.0))
+        expected = trace_distances(logs[n - start])
         if abs(dist - expected) > 1e-8:
             raise NumericalInvariantError(
                 f"distance/overlap duality off by {abs(dist - expected):.3e} at n={n}"
@@ -253,7 +252,7 @@ def separation_rows(
         rows.append(
             SeparationRow(
                 n=n,
-                overlap=overlap,
+                overlap=float(signs[n - start] * np.exp(logs[n - start])),
                 state_distance=dist,
                 witness_first=wit.first_value,
                 witness_second=wit.second_value,
@@ -284,9 +283,8 @@ def distance_crossing_level(
     stop = min(a.size, limit)
     if not 1 <= start <= stop:
         raise InvalidInputError(f"empty search window [{start}, {stop}] for length {a.size}")
-    products = overlap_partial_products(a, b, start - 1, stop)
-    distances = 2.0 * np.sqrt(np.clip(1.0 - products**2, 0.0, None))
-    hits = np.nonzero(distances > threshold)[0]
+    _, logs = cosine_products(a[start - 1 : stop] - b[start - 1 : stop])
+    hits = np.nonzero(trace_distances(logs) > threshold)[0]
     if hits.size == 0:
         return None
     return int(start + hits[0])

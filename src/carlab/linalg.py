@@ -162,23 +162,30 @@ def plane_rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def two_plane_terms(xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row by row, two_plane_unitary(xi, z eta) = A + z M1 + conj(z) M2 for unit z.
+def overlap_residuals(xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """c = <xi|eta>, r = eta - c xi and s = ||r||, c and s as (n, 1), for (n, d) unit stacks.
 
-    xis and etas are (n, d) stacks of unit vectors.  With c = <xi|eta>,
-    r = eta - c xi, s = ||r|| and zeta = r / s, the map sends xi to
-    c xi + s zeta = eta and zeta to conj(c) zeta - s xi, and fixes the rest:
-    A = I - xi xi* - zeta zeta*, M1 = eta xi*, M2 = (conj(c) zeta - s xi) zeta*.
     r takes a second Gram-Schmidt pass, as the first leaves it off by eps / s
-    when eta is nearly colinear.  Rows with s <= 1e-12 count as colinear:
-    A = I - xi xi*, M1 = c xi xi*, M2 = 0.  Both branches carry xi to z eta,
-    but the generic one multiplies zeta's line by conj(z c) and this one
-    fixes it, so at the threshold they differ by up to |1 - conj(z c)|.
+    when eta is nearly colinear, so atan2(s, |c|) is the lines' angle to rounding.
     """
     c = np.sum(xis.conj() * etas, axis=1, keepdims=True)
     r = etas - c * xis
     r -= np.sum(xis.conj() * r, axis=1, keepdims=True) * xis
-    s = np.linalg.norm(r, axis=1, keepdims=True)
+    return c, r, np.linalg.norm(r, axis=1, keepdims=True)
+
+
+def two_plane_terms(xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row by row, two_plane_unitary(xi, z eta) = A + z M1 + conj(z) M2 for unit z.
+
+    With c, r and s of the rows from `overlap_residuals` and zeta = r / s,
+    the map sends xi to c xi + s zeta = eta and zeta to conj(c) zeta - s xi,
+    and fixes the rest: A = I - xi xi* - zeta zeta*, M1 = eta xi*,
+    M2 = (conj(c) zeta - s xi) zeta*.  Rows with s <= 1e-12 count as
+    colinear: A = I - xi xi*, M1 = c xi xi*, M2 = 0.  Both branches carry
+    xi to z eta, but the generic one multiplies zeta's line by conj(z c)
+    and this one fixes it, so at the threshold they differ by up to |1 - conj(z c)|.
+    """
+    c, r, s = overlap_residuals(xis, etas)
     colinear = s <= 1e-12
     zeta = np.divide(r, s, out=np.zeros_like(r), where=~colinear)
 

@@ -1,5 +1,6 @@
 """Minimum distance from the identity to unitaries carrying one vector
-state onto another: closed forms plus independent search oracles.
+state onto another: the closed forms, from the angles between factor
+lines through `sequences`, plus independent search oracles.
 
 The two constraint modes are deliberately distinct code paths.  The exact
 mode insists u xi = eta; the state mode only requires equality of the
@@ -32,35 +33,16 @@ from .linalg import (
     expi_hermitian,
     hermitian_from_params,
     operator_norms,
+    overlap_residuals,
     two_plane_terms,
     unit_vector_pair,
 )
+from .sequences import chord_distances, cosine_products
 
 _ORACLE_DIMS = (2, 3, 4)
 _MAX_RESTARTS = 8
 _STEP_INIT = 0.5
 _STEP_MIN = 1e-6
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    """Overlap of two unit vectors and the closed-form minimum distance."""
-
-    overlap: complex
-    abs_overlap: float
-    closed_form_distance: float
-
-
-def min_distance_closed_form(xi, eta) -> OverlapReport:
-    """Closed form sqrt(2 (1 - |<xi|eta>|)) with the overlap that feeds it."""
-    xi, eta = unit_vector_pair(xi, eta)
-    t = complex(np.vdot(xi, eta))
-    a = min(abs(t), 1.0)
-    return OverlapReport(
-        overlap=t,
-        abs_overlap=a,
-        closed_form_distance=float(np.sqrt(2.0 * (1.0 - a))),
-    )
 
 
 @dataclass(frozen=True)
@@ -316,12 +298,12 @@ class ProductDistanceReport:
     """Two rival closed forms for the product-state minimum distance.
 
     `distance_single` is sqrt(2 (1 - p)) with p the product of factor
-    overlap moduli; it agrees with the one-factor closed form.
-    `distance_doubled` carries a leading factor 2.  The doubled value
-    cannot be attained once p < 1/2 (no unitary is farther than 2 from the
-    identity), so callers treat `distance_single` as authoritative after
-    the search oracle has adjudicated; the doubled value is reported, never
-    asserted.
+    overlap moduli; on one factor it is the closed form 2 sin(theta / 2)
+    for lines at angle theta.  `distance_doubled` carries a leading
+    factor 2.  The doubled value cannot be attained once p < 1/2 (no
+    unitary is farther than 2 from the identity), so callers treat
+    `distance_single` as authoritative after the search oracle has
+    adjudicated; the doubled value is reported, never asserted.
     """
 
     overlap_product: float
@@ -333,23 +315,24 @@ def product_min_distance(xis: Sequence, etas: Sequence) -> ProductDistanceReport
     """Closed-form candidates for tensor products of vector states.
 
     The overlap of the product vectors factorizes, so only the product of
-    the per-factor overlap moduli enters.
+    the per-factor overlap moduli cos theta enters, each from the angle
+    theta = atan2(s, |c|) between the factor's lines.
     """
     if len(xis) != len(etas) or not xis:
         raise InvalidInputError("need equally many nonempty factor lists")
     total = 1
-    log_p = 0.0
+    angles = []
     for x, e in zip(xis, etas):
         x, e = unit_vector_pair(x, e)
         if x.shape[0] < 2:
             raise InvalidInputError("factors must be vectors of dimension >= 2")
         total = check_dim(total * x.shape[0], "product dimension")
-        with np.errstate(divide="ignore"):
-            log_p += float(np.log(min(abs(np.vdot(x, e)), 1.0)))
-    p = float(np.exp(log_p))
-    root = float(np.sqrt(2.0 * (1.0 - p)))
+        c, _, s = overlap_residuals(x[None], e[None])
+        angles.append(np.arctan2(s[0, 0], abs(c[0, 0])))
+    signs, logs = cosine_products(angles)
+    root = float(chord_distances(signs[-1], logs[-1]))
     return ProductDistanceReport(
-        overlap_product=p,
+        overlap_product=float(np.exp(logs[-1])),
         distance_single=root,
         distance_doubled=2.0 * root,
     )

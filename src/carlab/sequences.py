@@ -15,6 +15,11 @@ Measured limits: powers n^-p get the right verdict at every length outside
 0.48 < p < 0.54, but within 2^-K above 1/2 can pass for harmonic and be
 called divergent.  Of 8,000 random descriptors, 7% came out
 "equivalent-trend" at 16 to 30 terms and none at 255 to 510.
+
+This is also the one home for distances from overlaps.  A cosine product
+is kept as running signs and log-moduli L, each log near |cos t| = 1 from
+the half angle, and sqrt(2 (1 - p)) and 2 sqrt(1 - p^2) are taken from L
+through expm1, so neither rounds to 0 where cos t rounds to 1.
 """
 
 from __future__ import annotations
@@ -146,17 +151,31 @@ def partial_products(factors) -> np.ndarray:
     return signs * np.exp(np.cumsum(logs))
 
 
-def overlap_partial_products(alpha, beta, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Running products of cos(alpha_j - beta_j) for j in [start, stop).
+def log_cosines(t) -> tuple[np.ndarray, np.ndarray]:
+    """sign(cos t) and log|cos t|: log1p(-2 min(sin^2, cos^2)(t/2)) where |cos t| >= 1/2.
 
-    Indices follow Python slicing on the paired sequences.
+    The log keeps -t^2 / 2 once cos t rounds to 1 (|t| below about 1.05e-8).
     """
-    a, b = paired_angles(alpha, beta)
-    if stop is None:
-        stop = a.size
-    if not 0 <= start <= stop <= a.size:
-        raise InvalidInputError(f"bad window [{start}, {stop}) for length {a.size}")
-    return partial_products(np.cos(a[start:stop] - b[start:stop]))
+    cosines = np.cos(t)
+    m = np.minimum(np.sin(t / 2.0) ** 2, np.cos(t / 2.0) ** 2)
+    with np.errstate(divide="ignore"):
+        return np.sign(cosines), np.where(m < 0.25, np.log1p(-2.0 * m), np.log(np.abs(cosines)))
+
+
+def cosine_products(t) -> tuple[np.ndarray, np.ndarray]:
+    """Running signs and log-moduli L of the products of cos t_j: a zero factor makes L -inf."""
+    signs, logs = log_cosines(np.asarray(t, dtype=np.float64))
+    return np.cumprod(signs), np.cumsum(logs)
+
+
+def chord_distances(signs, logs) -> np.ndarray:
+    """sqrt(2 (1 - p)) for p = sign * exp(L); 2 sin(theta / 2) for lines at angle theta."""
+    return np.sqrt(2.0 * np.where(np.asarray(signs) > 0, -np.expm1(logs), 1.0 + np.exp(logs)))
+
+
+def trace_distances(logs) -> np.ndarray:
+    """2 sqrt(1 - p^2) for |p| = exp(L): the distance of vector states with overlap p."""
+    return 2.0 * np.sqrt(-np.expm1(2.0 * np.asarray(logs)))
 
 
 def weierstrass_bounds(factors) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +246,7 @@ def classify_pair(alpha, beta) -> PairDiagnostics:
     t = a - b
     squares = t**2
     half_angle = np.sin(t / 2.0) ** 2
-    cosines = np.cos(t)
-    logs = np.log(np.abs(cosines))
+    signs, logs = log_cosines(t)
     # kept in log space, where a long product that underflows stays exact
     log_prod = float(np.cumsum(logs)[-1])
     k = (a.size + 1).bit_length() - 2  # the last complete block is n in [2^k, 2^(k+1))
@@ -240,7 +258,7 @@ def classify_pair(alpha, beta) -> PairDiagnostics:
         l2_block_ratio=ratios[0],
         half_angle_total=float(np.cumsum(half_angle)[-1]),
         half_angle_block_ratio=ratios[1],
-        overlap_product=float(np.prod(np.sign(cosines)) * np.exp(log_prod)),
+        overlap_product=float(np.prod(signs) * np.exp(log_prod)),
         log_overlap_product=log_prod,
         log_product_block_ratio=ratios[2],
     )

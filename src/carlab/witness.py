@@ -370,21 +370,16 @@ def _scan_blocks(n: int, most: int):
     """Row ranges [lo, hi) of the witness scan over a net of n elements.
 
     The first block has `_FIRST_BLOCK` rows and each next one ends at
-    twice the rows scanned so far, capped at `most` rows (at least 2) and
-    never crossing a multiple of `_CHUNK`, so with `most` = `_CHUNK` a
-    scan of the whole net takes at most 7 more blocks than whole chunks
-    would.  Every row keeps the gap the one-chunk scan gives it: numpy
-    takes a one-row block through its vector-matrix product, which rounds
-    differently from the matrix product, so a block that would leave one
-    row before its chunk's end leaves two, or takes the row along if it
-    has only two itself.
+    twice the rows scanned so far, capped at `most` rows (at least 2).  A
+    lone last row joins the block before it: numpy takes a one-row block
+    through its vector-matrix product, which rounds differently from the
+    matrix product, so this keeps every row's gap as one product over the
+    whole net gives it.
     """
     lo = 0
     while lo < n:
-        end = min(n, lo - lo % _CHUNK + _CHUNK)
-        hi = min(end, max(2 * lo, _FIRST_BLOCK), lo + most)
-        if hi == end - 1:
-            hi += 1 if hi - lo == 2 else -1
+        hi = min(n, max(2 * lo, _FIRST_BLOCK), lo + most)
+        hi += hi == n - 1
         yield lo, hi
         lo = hi
 

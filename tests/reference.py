@@ -36,7 +36,7 @@ from carlab.seeding import check_seed
 from carlab.sequences import validate_angles
 from carlab.states import VectorState
 from carlab.truncation import check_level
-from carlab.witness import _CHUNK, TestElementNet, UnitaryNet, WitnessResult, _nearest
+from carlab.witness import TestElementNet, UnitaryNet, WitnessResult, _nearest
 
 
 def projector(v) -> np.ndarray:
@@ -250,32 +250,26 @@ def witness_search_by_chunks(
 ) -> WitnessResult | None:
     """First enumerated u with max_a |phi(a) - psi(u a u*)| < 1, if any.
 
-    The scan computes the gap of every row of a whole `_CHUNK`-row chunk
-    before it looks for the first hit, which is what the package's
-    growing-block scan must reproduce, index and gap bit for bit.
+    The scan computes the gap of every row of the net, as one chunk, in one
+    matrix product before it looks for the first hit, which is what the
+    package's growing-block scan must reproduce, index and gap bit for bit.
     """
     if phi.dim != psi.dim or phi.dim != net.dim or net.dim != test_net.dim:
         raise InvalidInputError("state, net, and test-net dimensions must agree")
     threshold = 1.0 - WITNESS_STRICTNESS
     # a state's value on each test element a is <v v*, a>: one GEMM
-    # against the flattened test elements for a whole chunk of vectors
+    # against the flattened test elements for all the net's vectors
     flat = test_net.elements.reshape(len(test_net.elements), -1).T
     phi_vals = np.outer(phi.vector.conj(), phi.vector).reshape(-1) @ flat
-    conj_psi = psi.vector.conj()
-    for lo in range(0, len(net), _CHUNK):
-        block = net.elements[lo : lo + _CHUNK]
-        # the pulled-back vectors u* psi, conjugated: psi^H u, row by row
-        conj_pulled = conj_psi @ block
-        outer = conj_pulled[:, :, None] * conj_pulled.conj()[:, None, :]
-        outer = outer.reshape(len(block), -1)
-        gaps = np.max(np.abs(outer @ flat - phi_vals), axis=1)
-        hits = np.nonzero(gaps < threshold)[0]
-        if hits.size:
-            i = lo + int(hits[0])
-            return WitnessResult(
-                index=i, unitary=net.elements[i], gap=float(gaps[hits[0]])
-            )
-    return None
+    # the pulled-back vectors u* psi, conjugated: psi^H u, row by row
+    conj_pulled = psi.vector.conj() @ net.elements
+    outer = conj_pulled[:, :, None] * conj_pulled.conj()[:, None, :]
+    gaps = np.max(np.abs(outer.reshape(len(net), -1) @ flat - phi_vals), axis=1)
+    hits = np.nonzero(gaps < threshold)[0]
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    return WitnessResult(index=i, unitary=net.elements[i], gap=float(gaps[i]))
 
 
 def random_test_elements_by_loop(dim: int, n_random: int, seed: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from carlab.intertwiner import (
     separation_rows,
 )
 from carlab.orbit import (
-    min_distance_closed_form,
     min_distance_searches,
     product_min_distance,
     state_min_distance_searches,
@@ -57,7 +56,7 @@ def test_criterion_01_min_distance_formula_vs_oracle():
         # one batched search per dimension, each pair on its own seed
         results = min_distance_searches(xis, etas, 1500, seeds)
         for xi, eta, result in zip(xis, etas, results):
-            closed = min_distance_closed_form(xi, eta).closed_form_distance
+            closed = product_min_distance([xi], [eta]).distance_single
             assert result.distance >= closed - 1e-6
             worst = max(worst, abs(result.distance - closed))
     elapsed = time.monotonic() - start

@@ -352,13 +352,17 @@ def _build_chain(alpha, beta):
     return intertwiner.build_chain(alpha, beta, 1)
 
 
+def _product_min_distance(xi, eta):
+    return orbit.product_min_distance([xi], [eta])
+
+
 _VECTORS = (np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 _ANGLES = (np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3]))
 _MISMATCHED = [
     (linalg.unit_vector_pair, _VECTORS),
     (linalg.two_plane_unitary, _VECTORS),
     (linalg.phase_align, _VECTORS),
-    (orbit.min_distance_closed_form, _VECTORS),
+    (_product_min_distance, _VECTORS),
     (orbit.min_distance_bruteforce, _VECTORS),
     (orbit.state_min_distance_bruteforce, _VECTORS),
     (_state_distance, _VECTORS),

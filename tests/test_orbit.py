@@ -19,27 +19,27 @@ def _aligned_pair(dim, rng):
 
 def test_closed_form_base_cases():
     xi = np.array([1.0, 0.0])
-    assert orbit.min_distance_closed_form(xi, xi).closed_form_distance == pytest.approx(0.0)
-    perp = orbit.min_distance_closed_form(xi, np.array([0.0, 1.0]))
-    assert perp.closed_form_distance == pytest.approx(np.sqrt(2), abs=1e-12)
+    assert orbit.product_min_distance([xi], [xi]).distance_single == pytest.approx(0.0)
+    perp = orbit.product_min_distance([xi], [np.array([0.0, 1.0])])
+    assert perp.distance_single == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
 def test_closed_form_half_overlap():
     xi = np.array([1.0, 0.0])
     eta = np.array([0.5, np.sqrt(0.75)])
-    report = orbit.min_distance_closed_form(xi, eta)
-    assert report.abs_overlap == pytest.approx(0.5, abs=1e-12)
-    assert report.closed_form_distance == pytest.approx(1.0, abs=1e-12)
+    report = orbit.product_min_distance([xi], [eta])
+    assert report.overlap_product == pytest.approx(0.5, abs=1e-12)
+    assert report.distance_single == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlap_report_internal_consistency():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        report = orbit.min_distance_closed_form(
-            linalg.random_unit_vector(3, rng), linalg.random_unit_vector(3, rng)
+        report = orbit.product_min_distance(
+            [linalg.random_unit_vector(3, rng)], [linalg.random_unit_vector(3, rng)]
         )
         assert abs(
-            report.closed_form_distance - np.sqrt(2 * (1 - report.abs_overlap))
+            report.distance_single - np.sqrt(2 * (1 - report.overlap_product))
         ) <= 1e-12
 
 
@@ -49,10 +49,10 @@ def test_closed_form_phase_invariance(phase, seed):
     rng = np.random.default_rng(seed)
     xi = linalg.random_unit_vector(3, rng)
     eta = linalg.random_unit_vector(3, rng)
-    a = orbit.min_distance_closed_form(xi, eta)
-    b = orbit.min_distance_closed_form(xi, np.exp(1j * phase) * eta)
-    assert abs(a.abs_overlap - b.abs_overlap) <= 1e-12
-    assert abs(a.closed_form_distance - b.closed_form_distance) <= 1e-12
+    a = orbit.product_min_distance([xi], [eta])
+    b = orbit.product_min_distance([xi], [np.exp(1j * phase) * eta])
+    assert abs(a.overlap_product - b.overlap_product) <= 1e-12
+    assert abs(a.distance_single - b.distance_single) <= 1e-12
 
 
 def test_closed_form_monotone_in_overlap():
@@ -60,7 +60,7 @@ def test_closed_form_monotone_in_overlap():
     values = []
     for c in np.linspace(0.0, 1.0, 30):
         eta = np.array([c, np.sqrt(1 - c * c)])
-        values.append(orbit.min_distance_closed_form(xi, eta).closed_form_distance)
+        values.append(orbit.product_min_distance([xi], [eta]).distance_single)
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -83,7 +83,7 @@ def test_bruteforce_matches_closed_form_random(dim):
     # one batched search; trial k runs on seed k
     results = orbit.min_distance_searches(xis, etas, 10_000, list(range(12)))
     for xi, eta, result in zip(xis, etas, results):
-        closed = orbit.min_distance_closed_form(xi, eta).closed_form_distance
+        closed = orbit.product_min_distance([xi], [eta]).distance_single
         assert result.distance >= closed - 1e-6
         assert abs(result.distance - closed) <= 1e-4
 
@@ -97,7 +97,7 @@ def test_bruteforce_never_below_exact_carrier_floor():
     results = orbit.min_distance_searches(xis, etas, 4000, list(range(8)))
     for xi, eta, result in zip(xis, etas, results):
         floor = np.linalg.norm(xi - eta)
-        closed = orbit.min_distance_closed_form(xi, eta).closed_form_distance
+        closed = orbit.product_min_distance([xi], [eta]).distance_single
         found = result.distance
         assert found >= closed - 1e-6
         assert abs(found - floor) <= 1e-4
@@ -132,15 +132,6 @@ def test_product_min_distance_two_factor_example():
     assert report.overlap_product == pytest.approx(0.72, abs=1e-12)
     assert report.distance_single == pytest.approx(0.7483314773547883, abs=1e-12)
     assert report.distance_doubled == pytest.approx(2 * 0.7483314773547883, abs=1e-12)
-
-
-def test_product_min_distance_single_factor_matches_closed_form():
-    rng = np.random.default_rng(52)
-    xi = linalg.random_unit_vector(2, rng)
-    eta = linalg.random_unit_vector(2, rng)
-    report = orbit.product_min_distance([xi], [eta])
-    closed = orbit.min_distance_closed_form(xi, eta).closed_form_distance
-    assert report.distance_single == pytest.approx(closed, abs=1e-12)
 
 
 def test_product_min_distance_cap():

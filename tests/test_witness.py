@@ -597,31 +597,30 @@ def test_growing_scan_equals_chunk_scan_random(dim, k, extra, seed):
     _assert_scan_matches_chunks(phi, psi, net, tests)
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 4097, 8191, 8192, 8193, 8194, 16385, 30000])
-def test_scan_blocks_grow_and_keep_one_row_blocks_where_chunks_have_them(n):
-    blocks = list(witness._scan_blocks(n, witness._CHUNK))
+def _assert_scan_schedule(n, most):
+    # contiguous cover of [0, n), a first block of at most 64 rows (65 when
+    # it takes a 65-row net's lone last row along), no one-row block unless
+    # n = 1, and at most most + 1 rows per block
+    blocks = list(witness._scan_blocks(n, most))
     assert blocks[0][0] == 0 and blocks[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    assert blocks[0][1] <= witness._FIRST_BLOCK
-    chunks = -(-n // witness._CHUNK)
-    assert len(blocks) <= chunks + 7
-    lone = {lo for lo, hi in blocks if hi - lo == 1}
-    chunk_lone = {lo for lo in range(0, n, witness._CHUNK) if min(n, lo + witness._CHUNK) - lo == 1}
-    assert lone == chunk_lone
+    assert blocks[0][1] <= witness._FIRST_BLOCK + (n == witness._FIRST_BLOCK + 1)
+    assert all(hi - lo > 1 for lo, hi in blocks) or n == 1
+    assert all(hi - lo <= most + 1 for lo, hi in blocks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 4097, 8191, 8192, 8193, 8194, 16385, 30000])
+def test_scan_blocks_grow_and_keep_one_row_blocks_where_chunks_have_them(n):
+    # the names predate the schedule's indifference to chunks: no block has
+    # one row unless the net has one, wherever _CHUNK falls
+    _assert_scan_schedule(n, witness._CHUNK)
+    _assert_scan_schedule(n, 2048)
 
 
 @pytest.mark.parametrize("most", [2, 3, 5, 64])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 30, 31, 32, 65, 8191, 8192, 8193, 8194, 16387])
 def test_scan_blocks_capped_keep_one_row_blocks_where_chunks_have_them(n, most):
-    blocks = list(witness._scan_blocks(n, most))
-    assert blocks[0][0] == 0 and blocks[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    # a block takes its chunk's last row along only when it has two rows
-    assert all(hi - lo <= max(most, 3) for lo, hi in blocks)
-    assert all((hi - 1) // witness._CHUNK == lo // witness._CHUNK for lo, hi in blocks)
-    lone = {lo for lo, hi in blocks if hi - lo == 1}
-    chunk_lone = {lo for lo in range(0, n, witness._CHUNK) if min(n, lo + witness._CHUNK) - lo == 1}
-    assert lone == chunk_lone
+    _assert_scan_schedule(n, most)
 
 
 def _scan_rows(tests):
