@@ -3,7 +3,7 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 34 invocations (the seven README commands, the ten
+Runs a fixed list of 35 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
 `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
@@ -17,8 +17,8 @@ block gaps at the level cap, and `reduce` and `cauchy-gaps` one level past
 that cap, refused as size limits, and three `power:8` runs whose angles
 fall below 1.05e-8, where cos t rounds to 1: span-1 `cauchy-gaps` to
 level 12, and `separation` from factor 10 and, at threshold 1e-12, from
-factor 20), each with
-`--out json` and `--out csv`, as `python -m carlab.cli` under each
+factor 20, and a `reduce` at `power:inf`, refused as a non-finite exponent),
+each with `--out json` and `--out csv`, as `python -m carlab.cli` under each
 tree's `src` with one BLAS thread.
 For every run it prints whether the exit codes, stderr and stdout (up to
 the output path) are equal, and whether the artifacts are
@@ -26,8 +26,11 @@ byte-identical.  When they are not, it prints, per config key, summary
 key and row column, the largest |new - old| where that is not 0, every
 change of value type (CSV cells are typed by their text) and every added
 or removed key.  Each line also gives both trees' peak RSS (from
-`os.wait4`, in MB), so that a change in working memory shows run by run;
-it plays no part in the exit status.
+`os.wait4`, in MB), so that a change in working memory shows run by run.
+After the runs it prints each tree's largest peak RSS with the run that
+set it, and how many runs' peak RSS fell and rose by more than 5%, the
+benchmark's `peak_rss_mb` bound.  Peak RSS plays no part in the exit
+status.
 
 Exit status 0 means equal exit codes, stderr and stdout, and equal
 values under every shared key; type changes and added keys are reported
@@ -87,9 +90,12 @@ INVOCATIONS = [
     "separation --alpha power:8 --beta zero --start 10 --levels 3 --search-limit 4000",
     "separation --alpha power:8 --beta zero --start 20 --levels 3 --threshold 1e-12"
     " --search-limit 4000",
+    "reduce --alpha power:inf --beta zero --levels 3",
 ]
 
 _INT = re.compile(r"[+-]?\d+")
+# the benchmark's `peak_rss_mb` bound in BENCHMARK.json
+RSS_BOUND = 0.05
 _ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -192,6 +198,17 @@ def compare_artifacts(old: bytes, new: bytes, fmt: str) -> tuple[list[str], bool
     return lines, differs
 
 
+def print_rss_summary(peaks: list[tuple[str, float, float]]) -> None:
+    """Each tree's largest peak RSS and its run, and the runs moved past RSS_BOUND."""
+    for side, i in (("old", 1), ("new", 2)):
+        run = max(peaks, key=lambda p: p[i])
+        print(f"largest peak RSS, {side} tree: {run[i]:.1f} MB, {run[0]}")
+    fell = sum(new < old * (1 - RSS_BOUND) for _, old, new in peaks)
+    rose = sum(new > old * (1 + RSS_BOUND) for _, old, new in peaks)
+    print(f"peak RSS moved by more than {RSS_BOUND:.0%} in {fell + rose} of {len(peaks)} runs: "
+          f"{fell} fell, {rose} rose")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: compare_artifacts.py OLD_TREE NEW_TREE", file=sys.stderr)
@@ -202,6 +219,7 @@ def main(argv: list[str]) -> int:
             print(f"{tree} holds no src/carlab/cli.py", file=sys.stderr)
             return 2
     failed = False
+    peaks: list[tuple[str, float, float]] = []
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [Path(tmp) / "old", Path(tmp) / "new"]
         for d in dirs:
@@ -228,10 +246,12 @@ def main(argv: list[str]) -> int:
                     failed |= differs
                 head += f", peak RSS {old[4]:.1f}/{new[4]:.1f} MB"
                 print(f"[{fmt:4}] {invocation}: {head}")
+                peaks.append((f"[{fmt}] {invocation}", old[4], new[4]))
                 for line in lines:
                     print(f"         {line}")
                 if not same[2]:
                     print(f"         stderr old: {old[2].strip()!r}\n         stderr new: {new[2].strip()!r}")
+    print_rss_summary(peaks)
     print("FAIL" if failed else "OK: exit codes, stderr, stdout and values agree")
     return 1 if failed else 0
 

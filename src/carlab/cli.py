@@ -563,5 +563,13 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def process_main() -> int:
+    """`main` as a whole process: `python -m carlab.cli` and the `carlab` script."""
+    # numpy.random imports secrets, whose hmac loads OpenSSL's libcrypto through _hashlib;
+    # carlab never hashes, and without it hashlib and hmac use CPython's built-in code
+    sys.modules.setdefault("_hashlib", None)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

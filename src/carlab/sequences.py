@@ -24,6 +24,7 @@ through expm1, so neither rounds to 0 where cos t rounds to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,8 +64,9 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
     """Build an angle sequence from a generator descriptor.
 
     Supported descriptors: ``zero``, ``harmonic`` (1/n), ``invsqrt``
-    (1/sqrt(n)), ``power:p`` (n^-p), ``random:<scale>:<seed>`` (uniform on
-    (-scale, scale)), ``file:<path>`` (one decimal angle per line).
+    (1/sqrt(n)), ``power:p`` (n^-p, p finite), ``random:<scale>:<seed>``
+    (uniform on (-scale, scale)), ``file:<path>`` (one decimal angle per
+    line).
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
@@ -76,10 +78,14 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
     elif descriptor == "invsqrt":
         values = 1.0 / np.sqrt(_indices(length))
     elif descriptor.startswith("power:"):
+        text = descriptor.split(":", 1)[1]
         try:
-            p = float(descriptor.split(":", 1)[1])
+            p = float(text)
         except ValueError as exc:
             raise InvalidInputError(f"bad power descriptor {descriptor!r}") from exc
+        # n^-inf would silently be the sequence (1, 0, 0, ...)
+        if not math.isfinite(p):
+            raise InvalidInputError(f"power descriptor exponent must be finite, got {text}")
         values = _indices(length) ** (-p)
     elif descriptor.startswith("random:"):
         parts = descriptor.split(":")
@@ -114,7 +120,12 @@ def _indices(length: int) -> np.ndarray:
 
 def read_angle_file(path) -> np.ndarray:
     """Read the plain-text sequence format: one decimal angle per line."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"angle file {path} cannot be decoded: {exc.reason} at byte {exc.start}"
+        ) from exc
     values = []
     for i, line in enumerate(lines, start=1):
         text = line.strip()

@@ -585,6 +585,30 @@ def test_bad_input_rejected_with_json_record(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exponent", ["inf", "1e400", "-inf", "nan"])
+def test_non_finite_power_exponent_refused(tmp_path, capsys, exponent):
+    # power:inf and power:1e400 ran as the sequence (1, 0, 0, ...)
+    out = tmp_path / "r.json"
+    argv = ["reduce", "--alpha", f"power:{exponent}", "--beta", "zero", "--output", str(out)]
+    assert cli.main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert record["message"] == f"power descriptor exponent must be finite, got {exponent}"
+    assert not out.exists()
+
+
+def test_undecodable_angle_file_is_config_record(tmp_path, capsys):
+    angles = tmp_path / "angles.txt"
+    angles.write_bytes(b"\xff\xfe")
+    out = tmp_path / "r.json"
+    argv = ["reduce", "--alpha", f"file:{angles}", "--beta", "zero", "--output", str(out)]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "config" and str(angles) in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threshold", ["2", "2.5", "-1", "-0.5"])
 def test_separation_vacuous_threshold_refused(tmp_path, capsys, threshold):
     # distances lie in [0, 2]: none exceeds 2, every one exceeds -1
