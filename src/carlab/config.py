@@ -5,11 +5,13 @@ vector states keep their tensor structure and form none of full
 dimension.  Every cap is compared here (level 12, so dimension 2^12;
 2^24 array entries; 128 MB of net elements): past one, a request is
 refused with a SizeLimitError.  Blocked kernels work in BLOCK_BYTES.
+The seed range and the oracle budget floor are checked here too, so that
+the command-line parser can check them without importing numpy.
 """
 
 import sys
 
-from .errors import SizeLimitError
+from .errors import InvalidInputError, SizeLimitError
 
 MAX_LEVEL = 12
 MAX_DIM = 1 << MAX_LEVEL
@@ -51,3 +53,17 @@ def check_dim(dim: int, what: str) -> int:
 def pow2(n: int) -> int | float:
     """2^n for n >= 0, or inf past the float range: a size never too long to print or report."""
     return 1 << n if n < sys.float_info.max_exp else float("inf")
+
+
+def check_seed(seed: int) -> int:
+    """`seed` if it is a root seed of the stream, an integer in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidInputError(f"seed {seed} is outside [0, 2^64)")
+    return seed
+
+
+def check_budget(budget: int) -> int:
+    """`budget`, refused below 1000 objective evaluations per pair: too few to converge."""
+    if budget < 1000:
+        raise InvalidInputError("oracle budget must be at least 1000")
+    return budget

@@ -88,8 +88,10 @@ def build_chain(
     bare rotations, up to the accumulated phase otherwise).
     """
     a, b = paired_angles(alpha, beta)
-    if levels < 1 or levels > a.size:
-        raise InvalidInputError(f"need 1 <= levels <= {a.size}, got {levels}")
+    if levels < 1:
+        raise LevelError(f"a chain needs at least 1 level, got {levels}")
+    if levels > a.size:
+        raise InvalidInputError(f"levels {levels} exceed the {a.size} angle pairs given")
     check_level(levels)
     factors = np.array([step_unitary(a[j], b[j], phase_policy) for j in range(levels)])
     chain = IntertwinerChain(alpha=a, beta=b, phase_policy=phase_policy, factors=factors)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import block_rows, check_dim
+from .config import block_rows, check_budget, check_dim
 from .errors import DomainError, InvalidInputError
 from .linalg import (
     expi_hermitian,
@@ -177,13 +177,6 @@ def _lockstep_search(
             left[k] = 0
             unfinished -= 1
     return results
-
-
-def check_budget(budget: int) -> int:
-    """`budget`, refused below 1000 objective evaluations per pair: too few to converge."""
-    if budget < 1000:
-        raise InvalidInputError("oracle budget must be at least 1000")
-    return budget
 
 
 def _check_oracle_inputs(xis, etas, budget: int, seeds) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import check_count
-from .errors import InvalidInputError
+from .config import check_count, check_seed
 
-_MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
@@ -33,10 +31,3 @@ def derive_seeds(root: int, count: int) -> list[int]:
     z *= _MIX[1]
     z ^= z >> np.uint64(31)
     return z.tolist()
-
-
-def check_seed(seed: int) -> int:
-    """`seed` if it is a root seed of the stream, an integer in [0, 2^64)."""
-    if not 0 <= seed <= _MASK:
-        raise InvalidInputError(f"seed {seed} is outside [0, 2^64)")
-    return seed

@@ -24,9 +24,9 @@ through expm1, so neither rounds to 0 where cos t rounds to 1.
 
 from __future__ import annotations
 
+import locale
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +43,9 @@ INCONCLUSIVE = "inconclusive"
 MIN_TERMS = 16
 # a series converges when its block ratio is at most 1 - CONVERGENCE_MARGIN
 CONVERGENCE_MARGIN = 0.05
+# bytes of whole lines an angle file is read in
+_FILE_BLOCK = 1 << 14
+_OUT_OF_RANGE = "angles must lie strictly inside (-pi/2, pi/2)"
 
 
 def validate_angles(values) -> np.ndarray:
@@ -56,7 +59,7 @@ def validate_angles(values) -> np.ndarray:
         raise InvalidInputError(f"expected a flat angle list, got shape {arr.shape}")
     # a nan fails both comparisons
     if arr.size and not (-HALF_PI < arr.min() and arr.max() < HALF_PI):
-        raise DomainError("angles must lie strictly inside (-pi/2, pi/2)")
+        raise DomainError(_OUT_OF_RANGE)
     return arr
 
 
@@ -102,12 +105,7 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         values = rng.uniform(-scale, scale, size=length)
     elif descriptor.startswith("file:"):
-        values = read_angle_file(descriptor.split(":", 1)[1])
-        if len(values) < length:
-            raise InvalidInputError(
-                f"angle file holds {len(values)} values, need {length}"
-            )
-        values = values[:length]
+        values = read_angle_file(descriptor.split(":", 1)[1], length)
     else:
         raise InvalidInputError(f"unknown sequence descriptor {descriptor!r}")
     return validate_angles(values)
@@ -118,24 +116,64 @@ def _indices(length: int) -> np.ndarray:
     return np.arange(1, length + 1, dtype=np.float64)
 
 
-def read_angle_file(path) -> np.ndarray:
-    """Read the plain-text sequence format: one decimal angle per line."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(
-            f"angle file {path} cannot be decoded: {exc.reason} at byte {exc.start}"
-        ) from exc
-    values = []
-    for i, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError as exc:
-            raise InvalidInputError(f"line {i} of {path} is not a number") from exc
-    return validate_angles(np.asarray(values))
+def read_angle_file(path, length: int) -> np.ndarray:
+    """The first `length` angles of a plain-text sequence file, one decimal angle per line.
+
+    The file is read a block of lines at a time and only those angles are
+    kept, but every line is decoded, parsed and range-checked, so an
+    undecodable byte, a line that is not a number or an angle out of range
+    anywhere refuses the file, as do too few angles.
+    """
+    encoding = locale.getpreferredencoding(False)  # that of open() in text mode
+    kept = [np.zeros(0)]
+    count = offset = number = 0
+    bad_line = None
+    in_range = True
+    with open(path, "rb") as fh:
+        # whole lines only, so no character is split between two blocks
+        for lines in iter(lambda: fh.readlines(_FILE_BLOCK), []):
+            block = b"".join(lines)
+            try:
+                text = block.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise InvalidInputError(
+                    f"angle file {path} cannot be decoded: {exc.reason} at byte {offset + exc.start}"
+                ) from exc
+            offset += len(block)
+            rows = text.splitlines()
+            if bad_line is None:  # past one, the rest of the file is only decoded
+                try:
+                    values = np.array(list(map(float, filter(None, map(str.strip, rows)))))
+                except ValueError:
+                    bad_line = number + _first_non_number(rows)
+                else:
+                    # a nan fails both comparisons
+                    in_range = in_range and (
+                        not values.size or (-HALF_PI < values.min() and values.max() < HALF_PI)
+                    )
+                    if count < length:  # a copy, so the block itself is not kept
+                        kept.append(values[: length - count].copy())
+                    count += values.size
+            number += len(rows)
+    if bad_line is not None:
+        raise InvalidInputError(f"line {bad_line} of {path} is not a number")
+    if not in_range:
+        raise DomainError(_OUT_OF_RANGE)
+    if count < length:
+        raise InvalidInputError(f"angle file holds {count} values, need {length}")
+    return np.concatenate(kept)
+
+
+def _first_non_number(rows: list[str]) -> int:
+    """The 1-based index of the first row that is neither blank nor a number."""
+    for i, row in enumerate(rows, start=1):
+        text = row.strip()
+        if text:
+            try:
+                float(text)
+            except ValueError:
+                return i
+    raise AssertionError("every row parses")
 
 
 def paired_angles(alpha, beta) -> tuple[np.ndarray, np.ndarray]:

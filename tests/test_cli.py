@@ -1,10 +1,11 @@
+import argparse
 import json
 import time
 
 import numpy as np
 import pytest
 
-from carlab import cli, config, linalg, witness
+from carlab import cli, config, experiments, linalg, witness
 from carlab.errors import SizeLimitError
 from carlab.seeding import derive_seeds
 
@@ -368,12 +369,29 @@ def test_level_cap_is_a_size_limit_in_every_subcommand(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, levels",
+    [("cauchy-gaps", "-1"), ("cauchy-gaps", "0"), ("reduce", "-2"), ("reduce", "0")],
+)
+def test_levels_below_one_name_the_level_rule(tmp_path, capsys, command, levels):
+    # not the length the sequences were formed at (1 for cauchy-gaps, 400 for reduce)
+    out = tmp_path / "x.json"
+    argv = [command, "--alpha", "zero", "--beta", "zero", f"--levels={levels}"]
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    assert _only_error_record(capsys) == {
+        "error": "config",
+        "message": f"a chain needs at least 1 level, got {levels}",
+        "exit_code": 2,
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["min-distance", "product-distance"])
 def test_low_budget_refused_before_any_draw(tmp_path, capsys, monkeypatch, command):
     def no_draw(*args, **kwargs):
         raise AssertionError("a vector was drawn before the budget was checked")
 
-    monkeypatch.setattr(cli, "random_unit_vector", no_draw)
+    monkeypatch.setattr(experiments, "random_unit_vector", no_draw)
     out = tmp_path / "x.json"
     argv = [command, "--budget", "10", "--output", str(out)]
     assert _timed_main(argv) == 2
@@ -387,7 +405,7 @@ def test_density_probe_cap_refused_before_the_net_is_built(tmp_path, capsys, mon
     def no_net(*args, **kwargs):
         raise AssertionError("the net was built before the probe count was checked")
 
-    monkeypatch.setattr(cli, "enumerate_net", no_net)
+    monkeypatch.setattr(experiments, "enumerate_net", no_net)
     out = tmp_path / "x.json"
     argv = ["fsigma-search", "--density-check", "--density-probes", str(config.MAX_COUNT + 1)]
     assert _timed_main(argv + ["--output", str(out)]) == 3
@@ -395,6 +413,14 @@ def test_density_probe_cap_refused_before_the_net_is_built(tmp_path, capsys, mon
     assert record["error"] == "size-limit"
     assert record["estimated_size"] == config.MAX_COUNT + 1
     assert not out.exists()
+
+
+def test_parser_offers_every_product_family():
+    # the parser names the families without importing the numpy-backed table
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (family,) = [a for a in subs.choices["product-test"]._actions if a.dest == "family"]
+    assert tuple(family.choices) == tuple(experiments._FAMILIES)
 
 
 def _only_error_record(capsys):
@@ -440,7 +466,7 @@ def test_runtime_failures_become_error_records(tmp_path, monkeypatch, capsys, ex
     def failing(args):
         raise exc
 
-    monkeypatch.setattr(cli, "run_product_test", failing)
+    monkeypatch.setattr(experiments, "run_product_test", failing)
     out = tmp_path / "x.json"
     assert cli.main(["product-test", "--family", "geometric", "--output", str(out)]) == code
     record = _only_error_record(capsys)
@@ -490,7 +516,7 @@ def test_exit_code_numerical_invariant(tmp_path, monkeypatch, capsys):
     def broken(args):
         raise NumericalInvariantError("drift beyond tolerance")
 
-    monkeypatch.setattr(cli, "run_product_test", broken)
+    monkeypatch.setattr(experiments, "run_product_test", broken)
     code = cli.main(["product-test", "--family", "geometric",
                      "--output", str(tmp_path / "x.json")])
     assert code == 4
@@ -657,7 +683,7 @@ def test_non_finite_value_is_invariant_error(tmp_path, monkeypatch, capsys, fmt,
     def non_finite(args):
         return [{"term": 1, "value": 0.5}], {"final_product": bad}
 
-    monkeypatch.setattr(cli, "run_product_test", non_finite)
+    monkeypatch.setattr(experiments, "run_product_test", non_finite)
     out = tmp_path / f"x.{fmt}"
     code = cli.main(["product-test", "--family", "geometric", "--out", fmt,
                      "--output", str(out)])

@@ -130,6 +130,15 @@ def test_chain_length_validation():
         intertwiner.build_chain([0.1], [0.0], 2)
 
 
+@pytest.mark.parametrize("levels", [0, -1, -400])
+def test_chain_level_below_one_has_its_own_message(levels):
+    # the level rule, not the sequence length, whatever length was given
+    with pytest.raises(LevelError, match=f"^a chain needs at least 1 level, got {levels}$"):
+        intertwiner.build_chain([0.1] * 400, [0.0] * 400, levels)
+    with pytest.raises(InvalidInputError, match="^levels 3 exceed the 2 angle pairs given$"):
+        intertwiner.build_chain([0.1, 0.2], [0.0, 0.0], 3)
+
+
 def test_block_gap_measured_equals_eigenphase_formula():
     alpha = _angles("harmonic", 7)
     beta = _angles("zero", 7)

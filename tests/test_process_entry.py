@@ -2,9 +2,10 @@
 
 `numpy.random` imports `secrets`, whose `hmac` loads OpenSSL's libcrypto
 through `_hashlib`.  `python -m carlab.cli` and the `carlab` script mark
-`_hashlib` absent first, and carlab draws numbers without it.  Each check
-runs in a fresh interpreter, as pytest's own imports may have loaded
-`_hashlib` already.
+`_hashlib` absent first, and carlab draws numbers without it.  The
+parser's path, up to help, version or a flag refusal, imports no numpy.
+Each check runs in a fresh interpreter, as pytest's own imports may have
+loaded `_hashlib` and numpy already.
 """
 
 import json
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_bench_tracer import _traced
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ["min-distance", "--dim", "2", "--trials", "1"]
@@ -109,3 +111,36 @@ def test_unseeded_streams_work_under_the_guard(tmp_path):
     )
     result = _fresh(code, tmp_path)
     assert result == {"code": 0, "blocked": True, "entropy_is_int": True, "draw": True}
+
+
+# each exits in the parser: version, a low budget, a negative seed, a dimension not offered
+PARSE_ONLY = [
+    ["--version"],
+    ["min-distance", "--budget", "10"],
+    ["min-distance", "--seed", "-1"],
+    ["fsigma-search", "--dim", "3"],
+]
+
+
+def test_parse_path_imports_no_numpy(tmp_path):
+    # the benchmark tracer looks up every traced module in sys.modules after `import carlab.cli`
+    traced = sorted(f"carlab.{short}" for short in _traced())
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import carlab, carlab.cli\n"
+        "carlab.cli.build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [carlab.cli.main(argv) for argv in {PARSE_ONLY!r}]\n"
+        "numpy = 'numpy' in sys.modules\n"
+        f"missing = [name for name in {traced!r} if name not in sys.modules]\n"
+        "vector_state = carlab.VectorState.__module__\n"
+        "print(json.dumps({'codes': codes, 'numpy': numpy, 'missing': missing,\n"
+        "    'vector_state': vector_state, 'numpy_once_used': 'numpy' in sys.modules}))\n"
+    )
+    assert _fresh(code, tmp_path) == {
+        "codes": [0, 2, 2, 2],
+        "numpy": False,
+        "missing": [],
+        "vector_state": "carlab.states",
+        "numpy_once_used": True,
+    }

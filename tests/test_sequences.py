@@ -281,3 +281,61 @@ def test_angle_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(back, values)
     with pytest.raises(InvalidInputError):
         sequences.angles_from_descriptor(f"file:{path}", 4)
+
+
+# 1,000,000 bytes of angles: many blocks of whole lines
+BIG_FILE_LINES = 250_000
+
+
+def test_angle_file_working_memory_is_bounded(tmp_path):
+    # the file is streamed and only the angles asked for are kept
+    path = tmp_path / "angles.txt"
+    path.write_text("0.1\n" * BIG_FILE_LINES)
+    tracemalloc.start()
+    try:
+        values = sequences.angles_from_descriptor(f"file:{path}", 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(values, np.full(16, 0.1))
+    assert peak <= 1_500_000  # read whole, as lines, the file takes about 25 MB
+
+
+@pytest.mark.parametrize(
+    "tail, error, message",
+    [
+        (b"abc\n", InvalidInputError, "line {n} of {path} is not a number"),
+        (b"nan\n", DomainError, "angles must lie strictly inside (-pi/2, pi/2)"),
+        (b"1.6\n", DomainError, "angles must lie strictly inside (-pi/2, pi/2)"),
+        (b"0.1\xff\n", InvalidInputError, "angle file {path} cannot be decoded: "
+         "invalid start byte at byte {offset}"),
+    ],
+)
+def test_angle_file_refused_past_the_angles_kept(tmp_path, tail, error, message):
+    # a defect on the last line of a large file refuses it, whatever the length asked for
+    path = tmp_path / "angles.txt"
+    path.write_bytes(b"0.1\n" * BIG_FILE_LINES + tail)
+    expected = message.format(n=BIG_FILE_LINES + 1, path=path, offset=4 * BIG_FILE_LINES + 3)
+    with pytest.raises(error) as info:
+        sequences.angles_from_descriptor(f"file:{path}", 16)
+    assert str(info.value) == expected
+
+
+def test_angle_file_refusals_keep_their_order(tmp_path):
+    # an undecodable byte outranks an earlier bad line, which outranks a range error
+    path = tmp_path / "angles.txt"
+    path.write_bytes(b"2.0\nabc\n" + b"0.1\n" * 10_000 + b"\xc3\n")
+    with pytest.raises(InvalidInputError, match="invalid continuation byte at byte 40008$"):
+        sequences.angles_from_descriptor(f"file:{path}", 1)
+    path.write_bytes(b"2.0\n" + b"0.1\n" * 10_000 + b"abc\n")
+    with pytest.raises(InvalidInputError, match="line 10002 of .* is not a number$"):
+        sequences.angles_from_descriptor(f"file:{path}", 1)
+
+
+def test_angle_file_too_short_names_its_count(tmp_path):
+    path = tmp_path / "angles.txt"
+    path.write_bytes(b"0.1\n\n  0.2 \r\n" * 10_000)
+    with pytest.raises(InvalidInputError, match="^angle file holds 20000 values, need 20001$"):
+        sequences.angles_from_descriptor(f"file:{path}", 20_001)
+    values = sequences.angles_from_descriptor(f"file:{path}", 20_000)
+    np.testing.assert_array_equal(values, np.tile([0.1, 0.2], 10_000))
