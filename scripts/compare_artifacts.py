@@ -3,7 +3,7 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 40 invocations (the seven README commands, the ten
+Runs a fixed list of 41 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
 `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
@@ -17,7 +17,8 @@ block gaps at the level cap, and `reduce` and `cauchy-gaps` one level past
 that cap, refused as size limits, and three `power:8` runs whose angles
 fall below 1.05e-8, where cos t rounds to 1: span-1 `cauchy-gaps` to
 level 12, and `separation` from factor 10 and, at threshold 1e-12, from
-factor 20, and a `reduce` at `power:inf`, refused as a non-finite exponent,
+factor 20, a `separation` of generic angles from factor 3 to the level
+cap, a `reduce` at `power:inf`, refused as a non-finite exponent,
 and five that end in the parser, so that its help text and flag refusals
 are compared: `min-distance --help`, a low `--budget`, a negative
 `--seed`, `fsigma-search --dim 3` and an unknown `product-test` family),
@@ -93,6 +94,7 @@ INVOCATIONS = [
     "separation --alpha power:8 --beta zero --start 10 --levels 3 --search-limit 4000",
     "separation --alpha power:8 --beta zero --start 20 --levels 3 --threshold 1e-12"
     " --search-limit 4000",
+    "separation --alpha harmonic --beta random:0.3:1 --start 3 --levels 10 --seed 1",
     "reduce --alpha power:inf --beta zero --levels 3",
     "min-distance --help",
     "min-distance --budget 10",

@@ -30,6 +30,7 @@ from .orbit import (
 from .seeding import derive_seeds
 from .sequences import angles_from_descriptor, classify_pair, partial_products, weierstrass_bounds
 from .states import VectorState, pullback
+from .truncation import kron_vectors
 from .witness import (
     distance_bound_check,
     enumerate_net,
@@ -56,6 +57,11 @@ def _search_diagnostics(search: SearchResult) -> dict:
     diagnostics = asdict(search)
     del diagnostics["distance"]
     return diagnostics
+
+
+def _angle_pair(args, length: int, length_from: str):
+    """alpha and beta at `length`; a file too short for it is refused naming `length_from`."""
+    return tuple(angles_from_descriptor(d, length, length_from) for d in (args.alpha, args.beta))
 
 
 def run_min_distance(args):
@@ -103,8 +109,8 @@ def run_product_distance(args):
         x1, x2 = random_unit_vector(2, rng), random_unit_vector(2, rng)
         e1, e2 = random_unit_vector(2, rng), random_unit_vector(2, rng)
         reports.append(product_min_distance([x1, x2], [e1, e2]))
-        xis.append(np.kron(x1, x2))
-        etas.append(np.kron(e1, e2))
+        xis.append(kron_vectors(np.array([x1, x2])))
+        etas.append(kron_vectors(np.array([e1, e2])))
     searches = state_min_distance_searches(xis, etas, args.budget, seeds)
     rows = []
     max_err_single = 0.0
@@ -142,8 +148,7 @@ def run_reduce(args):
         raise InvalidInputError(
             f"--length {args.length} is below --levels {args.levels}"
         )
-    alpha = angles_from_descriptor(args.alpha, args.length)
-    beta = angles_from_descriptor(args.beta, args.length)
+    alpha, beta = _angle_pair(args, args.length, "--length")
     chain = build_chain(alpha, beta, args.levels, phase_policy=args.phase_policy)
     rows = []
     for tail in separation_rows(alpha, beta, 1, args.levels):
@@ -165,9 +170,7 @@ def run_reduce(args):
 
 def run_cauchy_gaps(args):
     """Chain block gaps: factor-spectrum measurement vs closed form vs claimed bound."""
-    length = max(args.levels, 1)
-    alpha = angles_from_descriptor(args.alpha, length)
-    beta = angles_from_descriptor(args.beta, length)
+    alpha, beta = _angle_pair(args, max(args.levels, 1), "--levels")
     chain = build_chain(alpha, beta, args.levels, phase_policy=args.phase_policy)
     gaps = block_gaps(chain, max_span=args.max_span)
     if not gaps:
@@ -184,13 +187,13 @@ def run_cauchy_gaps(args):
 
 def run_separation(args):
     """Tail-state overlap decay, distances, and separating witnesses."""
-    length = max(args.search_limit, args.start + args.levels - 1)
-    alpha = angles_from_descriptor(args.alpha, length)
-    beta = angles_from_descriptor(args.beta, length)
+    stop = args.start + args.levels - 1
+    # the crossing search reads --search-limit angles, the rows `stop`
+    flag = "--search-limit" if args.search_limit >= stop else "--start + --levels - 1"
+    alpha, beta = _angle_pair(args, max(args.search_limit, stop), flag)
     crossing = distance_crossing_level(
         alpha, beta, threshold=args.threshold, start=args.start, limit=args.search_limit
     )
-    stop = args.start + args.levels - 1
     rows = [asdict(r) for r in separation_rows(alpha, beta, start=args.start, stop=stop)]
     summary = {
         "threshold": args.threshold,

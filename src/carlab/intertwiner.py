@@ -15,22 +15,23 @@ maps of the cosine products, kept in log space from the half angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .config import CONSTRUCTION_TOL, MAX_LEVEL
 from .errors import InvalidInputError, LevelError, NumericalInvariantError
-from .linalg import (
-    as_square_matrix,
-    operator_norm,
-    phase_combination_norm,
-    plane_rotation,
-)
+from .linalg import as_square_matrix, operator_norms, phase_combination_norm, plane_rotation
 from .sequences import chord_distances, cosine_products, paired_angles, trace_distances
-from .states import VectorState, separation_witness, state_distance
-from .truncation import check_level, level_of_dim, product_vector
+from .states import separation_witness
+from .truncation import (
+    angle_vectors,
+    check_level,
+    kron_prefixes,
+    kron_vectors,
+    level_of_dim,
+    product_vector,
+)
 
 PHASE_POLICIES = ("none", "eigenvalue-one")
 
@@ -99,29 +100,30 @@ def build_chain(
     return chain
 
 
-def _factorwise_image(factors: np.ndarray, angles) -> np.ndarray:
-    """(x)_j f_j (cos a_j, sin a_j), without forming the product of the f_j."""
-    out = np.ones(1, dtype=np.complex128)
-    for f, a in zip(factors, angles):
-        out = np.kron(out, f @ np.array([np.cos(a), np.sin(a)]))
-    return out
-
-
 def _verify_chain(chain: IntertwinerChain) -> None:
-    drift = 1.0  # bounds ||(x)_j u_j*u_j - I|| by prod_j (1 + ||u_j*u_j - I||) - 1
-    for n, u in enumerate(chain.factors, start=1):
-        drift *= 1.0 + operator_norm(u.conj().T @ u - np.eye(2))
-        if drift - 1.0 > CONSTRUCTION_TOL:
+    """Check level by level, from the factors alone, unitarity and then the carried vector.
+
+    With e_j = ||u_j*u_j - I||, level n is off unitarity by at most drift_n =
+    prod_{j<=n} (1 + e_j) - 1 and, as ||u_j x_j|| <= sqrt(1 + e_j), misses
+    (x)_j y_j by at most (1 + drift_n) sum_{j<=n} ||u_j x_j - y_j||, or up to
+    a phase by exactly |1 - prod_{j<=n} |<u_j x_j, y_j>||, for x_j, y_j the
+    factor vectors of alpha and beta.
+    """
+    levels = len(chain.factors)
+    grams = chain.factors.conj().transpose(0, 2, 1) @ chain.factors
+    drift = np.cumprod(1.0 + operator_norms(grams - np.eye(2))) - 1.0
+    images = np.einsum("nij,nj->ni", chain.factors, angle_vectors(chain.alpha[:levels]))
+    targets = angle_vectors(chain.beta[:levels])
+    if chain.phase_policy == "none":
+        misses = (1.0 + drift) * np.cumsum(np.linalg.norm(images - targets, axis=1))
+    else:
+        misses = np.abs(1.0 - np.cumprod(np.abs(np.sum(images.conj() * targets, axis=1))))
+    for n, (off, miss) in enumerate(zip(drift, misses), start=1):
+        if off > CONSTRUCTION_TOL:
             raise NumericalInvariantError(f"chain level {n} is not unitary")
-        image = _factorwise_image(chain.factors[:n], chain.alpha)
-        eta = product_vector(chain.beta[:n])
-        if chain.phase_policy == "none":
-            err = np.linalg.norm(image - eta)
-        else:
-            err = abs(1.0 - abs(np.vdot(image, eta)))
-        if err > CONSTRUCTION_TOL:
+        if miss > CONSTRUCTION_TOL:
             raise NumericalInvariantError(
-                f"chain level {n} misses its carrier vector by {err:.3e}"
+                f"chain level {n} misses its carrier vector by {miss:.3e}"
             )
 
 
@@ -140,7 +142,9 @@ def intertwining_gap(
     if not 1 <= n <= top:
         raise LevelError(f"chain holds levels 1..{top}, asked {n}")
     xi = product_vector(chain.alpha[:n])
-    pulled = _factorwise_image(chain.factors[:n].conj().transpose(0, 2, 1), chain.beta)
+    pulled = kron_vectors(
+        np.einsum("nji,nj->ni", chain.factors[:n].conj(), angle_vectors(chain.beta[:n]))
+    )
     worst = 0.0
     for a in test_elements:
         a = as_square_matrix(a)
@@ -182,7 +186,7 @@ def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
     if not 0 <= m < n <= len(chain.factors):
         raise LevelError(f"need 0 <= m < n <= {len(chain.factors)}")
     eigenvalues = np.linalg.eigvals(chain.factors[m:n])
-    measured = float(np.max(np.abs(1.0 - reduce(np.kron, eigenvalues))))
+    measured = float(np.max(np.abs(1.0 - kron_vectors(eigenvalues))))
     thetas = chain.thetas[m:n]
     spectral = phase_combination_norm(
         [_step_phase_pair(float(t), chain.phase_policy) for t in thetas]
@@ -229,7 +233,9 @@ def separation_rows(
     """Tail product vectors over factors start..n, their overlap, distance
     and separating witness, for each n up to `stop` (1-based, inclusive).
 
-    The measured distance must match 2 sqrt(1 - overlap^2) within 1e-8 at
+    Each tail is formed from the one before by one Kronecker product, and
+    each pair's span once, for its distance and its witness alike.  The
+    measured distance must match 2 sqrt(1 - overlap^2) within 1e-8 at
     every level; a violation is an invariant error, not a data point.
     """
     a, b = paired_angles(alpha, beta)
@@ -237,25 +243,25 @@ def separation_rows(
         stop = min(a.size, start + MAX_LEVEL - 1)
     if not 1 <= start <= stop <= a.size:
         raise InvalidInputError(f"bad window [{start}, {stop}] for length {a.size}")
-    rows = []
+    check_level(stop - start + 1)
+    a, b = a[start - 1 : stop], b[start - 1 : stop]
     # the cosine product equals <xi|eta> (checked elsewhere to 1e-10) and
     # stays exact where the vector inner product would cancel
-    signs, logs = cosine_products(a[start - 1 : stop] - b[start - 1 : stop])
-    for n in range(start, stop + 1):
-        xi = product_vector(a[start - 1 : n])
-        eta = product_vector(b[start - 1 : n])
-        dist = state_distance(VectorState(xi), VectorState(eta))
-        expected = trace_distances(logs[n - start])
-        if abs(dist - expected) > 1e-8:
-            raise NumericalInvariantError(
-                f"distance/overlap duality off by {abs(dist - expected):.3e} at n={n}"
-            )
+    signs, logs = cosine_products(a - b)
+    tails = zip(kron_prefixes(angle_vectors(a)), kron_prefixes(angle_vectors(b)))
+    rows = []
+    for k, (xi, eta) in enumerate(tails):
         wit = separation_witness(xi, eta)
+        off = abs(wit.distance - trace_distances(logs[k]))
+        if off > 1e-8:
+            raise NumericalInvariantError(
+                f"distance/overlap duality off by {off:.3e} at n={start + k}"
+            )
         rows.append(
             SeparationRow(
-                n=n,
-                overlap=float(signs[n - start] * np.exp(logs[n - start])),
-                state_distance=dist,
+                n=start + k,
+                overlap=float(signs[k] * np.exp(logs[k])),
+                state_distance=wit.distance,
                 witness_first=wit.first_value,
                 witness_second=wit.second_value,
                 witness_norm=wit.norm,

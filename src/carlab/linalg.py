@@ -52,11 +52,17 @@ def unit_vector_pair(xi, eta) -> tuple[np.ndarray, np.ndarray]:
     return xi, eta
 
 
+def gram_top_eigenvalue(a: np.ndarray):
+    """Top eigenvalue of a*a, the squared largest singular value, of a matrix or a stack.
+
+    a*a is a matmul, which gives a matrix the same bits in a stack as alone.
+    """
+    return np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)[..., -1]
+
+
 def operator_norm(a) -> float:
     """Largest singular value, via eigen-decomposition of a*a."""
-    a = as_square_matrix(a)
-    top = np.linalg.eigvalsh(a.conj().T @ a)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.sqrt(max(gram_top_eigenvalue(as_square_matrix(a)), 0.0)))
 
 
 def trace_norm(a) -> float:
@@ -258,14 +264,14 @@ def random_hermitian_contraction(
 ) -> np.ndarray:
     """Random Hermitian matrix rescaled to operator norm exactly 1.
 
-    The norm is the top eigenvalue of h*h, as in `operator_norm`; a matrix
+    The norm is the root of `gram_top_eigenvalue`, as in `operator_norm`; a matrix
     of norm below 1e-12 is replaced by the identity.  `count` draws a stack
     from the same stream as `count` single calls.
     """
     g = rng.normal(size=(1 if count is None else count, 2, dim, dim))
     g = g[:, 0] + 1j * g[:, 1]
     h = (g + g.conj().transpose(0, 2, 1)) / 2.0
-    nrm = np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)[:, -1], 0.0))
+    nrm = np.sqrt(np.maximum(gram_top_eigenvalue(h), 0.0))
     small = nrm < 1e-12
     h[small], nrm[small] = np.eye(dim), 1.0
     h /= nrm[:, None, None]

@@ -63,13 +63,13 @@ def validate_angles(values) -> np.ndarray:
     return arr
 
 
-def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
+def angles_from_descriptor(descriptor: str, length: int, length_from: str = "") -> np.ndarray:
     """Build an angle sequence from a generator descriptor.
 
     Supported descriptors: ``zero``, ``harmonic`` (1/n), ``invsqrt``
     (1/sqrt(n)), ``power:p`` (n^-p, p finite), ``random:<scale>:<seed>``
     (uniform on (-scale, scale)), ``file:<path>`` (one decimal angle per
-    line).
+    line).  A file too short for `length` is refused naming `length_from`.
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
@@ -105,7 +105,7 @@ def angles_from_descriptor(descriptor: str, length: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         values = rng.uniform(-scale, scale, size=length)
     elif descriptor.startswith("file:"):
-        values = read_angle_file(descriptor.split(":", 1)[1], length)
+        values = read_angle_file(descriptor.split(":", 1)[1], length, length_from)
     else:
         raise InvalidInputError(f"unknown sequence descriptor {descriptor!r}")
     return validate_angles(values)
@@ -116,13 +116,13 @@ def _indices(length: int) -> np.ndarray:
     return np.arange(1, length + 1, dtype=np.float64)
 
 
-def read_angle_file(path, length: int) -> np.ndarray:
+def read_angle_file(path, length: int, length_from: str = "") -> np.ndarray:
     """The first `length` angles of a plain-text sequence file, one decimal angle per line.
 
     The file is read a block of lines at a time and only those angles are
     kept, but every line is decoded, parsed and range-checked, so an
     undecodable byte, a line that is not a number or an angle out of range
-    anywhere refuses the file, as do too few angles.
+    anywhere refuses the file, as do too few angles (naming `length_from`).
     """
     encoding = locale.getpreferredencoding(False)  # that of open() in text mode
     kept = [np.zeros(0)]
@@ -160,7 +160,8 @@ def read_angle_file(path, length: int) -> np.ndarray:
     if not in_range:
         raise DomainError(_OUT_OF_RANGE)
     if count < length:
-        raise InvalidInputError(f"angle file holds {count} values, need {length}")
+        source = f" ({length_from})" if length_from else ""
+        raise InvalidInputError(f"angle file holds {count} values, need {length}{source}")
     return np.concatenate(kept)
 
 

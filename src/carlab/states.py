@@ -72,11 +72,12 @@ def state_distance(phi: VectorState, psi: VectorState) -> float:
 
 @dataclass(frozen=True)
 class SeparationWitness:
-    """Expectations and norm of the difference of rank-one projections."""
+    """Expectations, norm and trace norm (the states' distance) of P_xi - P_eta."""
 
     first_value: float
     second_value: float
     norm: float
+    distance: float
 
 
 def separation_witness(xi, eta) -> SeparationWitness:
@@ -91,4 +92,5 @@ def separation_witness(xi, eta) -> SeparationWitness:
         first_value=float(np.vdot(x, a @ x).real),
         second_value=float(np.vdot(y, a @ y).real),
         norm=operator_norm(a),
+        distance=trace_norm(a),
     )

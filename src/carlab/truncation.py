@@ -3,10 +3,15 @@
 Level n means the 2^n-dimensional full matrix algebra; lower levels embed
 unitally by a -> a (x) I.  Tensor factor order is fixed left to right:
 factor 1 is the outermost block of the Kronecker layout, so embeddings
-and the intertwiner chains agree on indexing.
+and the intertwiner chains agree on indexing.  Every Kronecker product of
+factor vectors in the package is formed here.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,17 +54,28 @@ def embed(a, n: int) -> np.ndarray:
     return np.kron(a, np.eye(1 << (n - m), dtype=np.complex128))
 
 
+def angle_vectors(angles: np.ndarray) -> np.ndarray:
+    """The (k, 2) complex stack of factor vectors (cos a_j, sin a_j)."""
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.complex128)
+
+
+def kron_prefixes(factors: np.ndarray) -> Iterator[np.ndarray]:
+    """f_1, f_1 (x) f_2, ... for a (k, 2) stack of factor vectors, each from the one before."""
+    return accumulate(factors, np.kron)
+
+
+def kron_vectors(factors: np.ndarray) -> np.ndarray:
+    """f_1 (x) ... (x) f_k for a (k, 2) stack of factor vectors, factor 1 outermost."""
+    return reduce(np.kron, factors)
+
+
 def product_vector(angles) -> np.ndarray:
     """Kronecker product of the 2-vectors (cos a_j, sin a_j).
 
-    A unit vector of dimension 2^len(angles); slicing the angle list first
-    gives the tail vectors used in the separation experiments.
+    A unit vector of dimension 2^len(angles).
     """
     arr = validate_angles(angles)
     if arr.size == 0:
         raise LevelError("need at least one angle")
     check_level(arr.size)
-    out = np.ones(1, dtype=np.complex128)
-    for a in arr:
-        out = np.kron(out, np.array([np.cos(a), np.sin(a)], dtype=np.complex128))
-    return out
+    return kron_vectors(angle_vectors(arr))

@@ -25,6 +25,7 @@ from .config import CONSTRUCTION_TOL, CONTRACTION_SLACK, DISTANCE_STRICTNESS, MA
 from .config import WITNESS_STRICTNESS, block_rows, check_count, check_dim
 from .errors import DomainError, InvalidInputError, NumericalInvariantError, SizeLimitError
 from .linalg import (
+    gram_top_eigenvalue,
     haar_unitary,
     operator_norms,
     random_hermitian_contraction,
@@ -359,8 +360,7 @@ def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestE
     # unit (i, j) is element i * dim + j, of norm 1 exactly
     elements[: dim * dim] = np.eye(dim * dim).reshape(dim * dim, dim, dim)
     for lo, block in _draw_blocks(random_hermitian_contraction, dim, rng, n_random):
-        top = np.linalg.eigvalsh(block.conj().transpose(0, 2, 1) @ block)[:, -1]
-        if np.sqrt(top.max()) > 1.0 + CONTRACTION_SLACK:
+        if np.sqrt(gram_top_eigenvalue(block).max()) > 1.0 + CONTRACTION_SLACK:
             raise NumericalInvariantError("test element exceeds contraction norm")
         elements[dim * dim + lo : dim * dim + lo + len(block)] = block
     return TestElementNet(dim=dim, elements=elements)

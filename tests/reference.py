@@ -11,8 +11,9 @@ lockstep oracle search is checked against, the whole-chunk witness
 scan the growing-block scan is checked against, the one-step-at-a-time
 splitmix64 loop the vectorized seed stream is checked against, the
 one-at-a-time draw of random test elements and the concatenated column
-layout the batched witness kernels are checked against.  Each keeps the
-validation it had in the package.
+layout the batched witness kernels are checked against, and the
+separation rows with every tail rebuilt from its angles, one scalar
+factor at a time.  Each keeps the validation it had in the package.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from carlab.config import CONTRACTION_SLACK, WITNESS_STRICTNESS
 from carlab.errors import DomainError, InvalidInputError
+from carlab.intertwiner import SeparationRow
 from carlab.linalg import (
     as_square_matrix,
     as_unit_vector,
@@ -33,8 +35,8 @@ from carlab.linalg import (
 )
 from carlab.orbit import _MAX_RESTARTS, _STEP_INIT, _STEP_MIN, SearchResult
 from carlab.seeding import check_seed
-from carlab.sequences import validate_angles
-from carlab.states import VectorState
+from carlab.sequences import cosine_products, paired_angles, trace_distances, validate_angles
+from carlab.states import VectorState, separation_witness, state_distance
 from carlab.truncation import check_level
 from carlab.witness import TestElementNet, UnitaryNet, WitnessResult, _nearest
 
@@ -296,3 +298,37 @@ def columns_by_concatenation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     cols = np.ascontiguousarray(np.concatenate([a.real, a.imag], axis=1).transpose(2, 0, 1))
     return cols, np.einsum("jkx,jkx->jk", cols, cols)
+
+
+def _tail_vector(angles) -> np.ndarray:
+    """Kronecker product of the 2-vectors (cos a, sin a), one scalar factor at a time."""
+    out = np.ones(1, dtype=np.complex128)
+    for a in angles:
+        out = np.kron(out, np.array([np.cos(a), np.sin(a)], dtype=np.complex128))
+    return out
+
+
+def separation_rows_by_rebuild(alpha, beta, start: int, stop: int) -> list[SeparationRow]:
+    """Separation rows with each level's tails formed from scratch and the
+    span of each pair formed twice, for the distance and for the witness."""
+    a, b = paired_angles(alpha, beta)
+    check_level(stop - start + 1)
+    signs, logs = cosine_products(a[start - 1 : stop] - b[start - 1 : stop])
+    rows = []
+    for n in range(start, stop + 1):
+        xi, eta = _tail_vector(a[start - 1 : n]), _tail_vector(b[start - 1 : n])
+        dist = state_distance(VectorState(xi), VectorState(eta))
+        if abs(dist - trace_distances(logs[n - start])) > 1e-8:
+            raise AssertionError(f"distance/overlap duality fails at n={n}")
+        wit = separation_witness(xi, eta)
+        rows.append(
+            SeparationRow(
+                n=n,
+                overlap=float(signs[n - start] * np.exp(logs[n - start])),
+                state_distance=dist,
+                witness_first=wit.first_value,
+                witness_second=wit.second_value,
+                witness_norm=wit.norm,
+            )
+        )
+    return rows

@@ -691,3 +691,28 @@ def test_non_finite_value_is_invariant_error(tmp_path, monkeypatch, capsys, fmt,
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "numerical-invariant"
     assert not out.exists()
+
+
+_SHORT_FILE_RUNS = [
+    # 64 is the default --search-limit, a length the command line never gave
+    (["separation", "--levels", "3"], "need 64 (--search-limit)"),
+    (["separation", "--start", "4", "--levels", "7", "--search-limit", "5"],
+     "need 10 (--start + --levels - 1)"),
+    (["reduce", "--levels", "3", "--length", "16"], "need 16 (--length)"),
+    (["cauchy-gaps", "--levels", "6"], "need 6 (--levels)"),
+]
+
+
+@pytest.mark.parametrize("argv, need", _SHORT_FILE_RUNS)
+def test_short_angle_file_refusal_names_the_length_flag(tmp_path, capsys, argv, need):
+    angles = tmp_path / "angles.txt"
+    angles.write_text("0.1\n" * 5)
+    out = tmp_path / "x.json"
+    argv = argv + ["--alpha", f"file:{angles}", "--beta", "zero", "--output", str(out)]
+    assert cli.main(argv) == 2
+    record = _only_error_record(capsys)
+    assert record["error"] == "config"
+    assert record["message"] == f"angle file holds 5 values, {need}"
+    assert not out.exists()
+    if need.endswith("(--search-limit)"):  # the file holds all the run needs
+        assert cli.main(argv + ["--search-limit", "5"]) == 0

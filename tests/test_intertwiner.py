@@ -4,14 +4,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carlab import intertwiner, linalg, sequences, truncation
+from carlab.config import CONSTRUCTION_TOL, MAX_LEVEL
 from carlab.errors import InvalidInputError, LevelError, NumericalInvariantError
 from carlab.states import VectorState
 from carlab.witness import build_test_element_net
-from reference import evaluate
+from reference import evaluate, separation_rows_by_rebuild
 
 
 def _angles(desc, n):
@@ -362,3 +363,71 @@ def test_distance_crossing_level_refuses_empty_windows(start, limit):
     alpha, beta = _angles("invsqrt", 64), _angles("zero", 64)
     with pytest.raises(InvalidInputError, match="window"):
         intertwiner.distance_crossing_level(alpha, beta, start=start, limit=limit)
+
+
+@pytest.mark.parametrize("policy", intertwiner.PHASE_POLICIES)
+def test_build_chain_forms_no_full_dimension_vector(policy):
+    # the level-12 product vector alone would be 2^12 complex entries, 64 KiB
+    alpha, beta = _angles("harmonic", 12), _angles("random:0.3:1", 12)
+    tracemalloc.start()
+    try:
+        chain = intertwiner.build_chain(alpha, beta, 12, phase_policy=policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.factors.shape == (12, 2, 2)
+    assert peak <= 32 << 10
+
+
+def _dense_carrier_misses(chain):
+    """Reference only: each level's dense miss of its carrier vector, as the policy reads it."""
+    misses = []
+    for n in range(1, len(chain.factors) + 1):
+        image = _dense_level(chain, n) @ truncation.product_vector(chain.alpha[:n])
+        eta = truncation.product_vector(chain.beta[:n])
+        if chain.phase_policy == "none":
+            misses.append(np.linalg.norm(image - eta))
+        else:
+            misses.append(abs(1.0 - abs(np.vdot(image, eta))))
+    return np.array(misses)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    policy=st.sampled_from(intertwiner.PHASE_POLICIES),
+    pairs=st.lists(st.tuples(_angle, _angle), min_size=1, max_size=8),
+    index=st.integers(0, 7),
+    params=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    log_miss=st.floats(-11.0, -7.0),
+)
+def test_factorwise_verifier_refuses_as_the_dense_level_does(
+    policy, pairs, index, params, log_miss
+):
+    # one factor times a unitary near I: each level's unitarity holds to
+    # rounding, and its carrier miss is that factor's, so the per-factor
+    # bound and the dense miss part only by rounding
+    alpha, beta = np.array(pairs).T
+    chain = intertwiner.build_chain(alpha, beta, len(pairs), phase_policy=policy)
+    # a nudge of size d misses by about d under "none" and d^2 / 2 otherwise
+    size = 10.0**log_miss if policy == "none" else np.sqrt(2 * 10.0**log_miss)
+    nudge = linalg.expi_hermitian(linalg.hermitian_from_params(size * np.array(params), 2))
+    factors = chain.factors.copy()
+    factors[index % len(pairs)] = nudge @ factors[index % len(pairs)]
+    perturbed = replace(chain, factors=factors)
+    misses = _dense_carrier_misses(perturbed)
+    assume(np.all(np.abs(misses - CONSTRUCTION_TOL) >= 1e-12))
+    if np.any(misses > CONSTRUCTION_TOL):
+        with pytest.raises(NumericalInvariantError, match="carrier"):
+            intertwiner._verify_chain(perturbed)
+    else:
+        intertwiner._verify_chain(perturbed)
+
+
+@pytest.mark.parametrize("start", [1, 3])
+def test_separation_rows_equal_per_level_rebuild(start):
+    # generic angles, tails from factor `start` up to the level cap
+    alpha, beta = _angles("harmonic", 20), _angles("random:0.3:1", 20)
+    stop = start + MAX_LEVEL - 1
+    rows = intertwiner.separation_rows(alpha, beta, start=start)
+    assert rows[-1].n == stop
+    assert rows == separation_rows_by_rebuild(alpha, beta, start, stop)
