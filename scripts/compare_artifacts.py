@@ -3,13 +3,15 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 41 invocations (the seven README commands, the ten
+Runs a fixed list of 42 invocations (the seven README commands, the ten
 benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
 runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
 `min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
 `fsigma-search`, the dim-16 and dim-4 exhaustive-net refusals, a dim-2
-exhaustive net at `--epsilon 0.2`, a 20,000-element dim-4 random net
-whose 200 density probes take many slices of exact norms, and
+exhaustive net at `--epsilon 0.2` and one at `--epsilon 0.3` (79,040
+elements, n = 8 and m = 19) with 50 density probes, a 20,000-element
+dim-4 random net whose 200 density probes take many slices of exact
+norms, and
 `cauchy-gaps` at level 12 with spans up to 11, where a block gap
 multiplies up to 2^11 factor eigenvalues, and a `reduce` at level 12
 under `--phase-policy eigenvalue-one`, whose per-level rows are span-1
@@ -83,6 +85,7 @@ INVOCATIONS = [
     "fsigma-search --dim 2 --net exhaustive --epsilon 0.2 --pairs 5 --density-check"
     " --density-probes 20 --seed 1",
     "fsigma-search --dim 4 --net exhaustive --pairs 1",
+    "fsigma-search --dim 2 --epsilon 0.3 --pairs 10 --density-check --density-probes 50 --seed 2",
     "fsigma-search --dim 4 --net random --net-size 20000 --pairs 5 --epsilon 0.4"
     " --density-check --density-probes 200 --seed 1",
     "cauchy-gaps --alpha harmonic --beta random:0.3:1 --levels 12 --max-span 11 --seed 1",

@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--start", type=int, default=1)
+    p.add_argument("--start", type=positive_int, default=1)
     p.add_argument("--levels", type=int, default=10)
     p.add_argument("--threshold", type=finite_float, default=1.9)
     p.add_argument("--search-limit", type=positive_int, default=64)
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=positive_int, default=50)
     p.add_argument("--epsilon", type=float, default=0.4)
     p.add_argument("--net", choices=("auto", "exhaustive", "random"), default="auto")
-    p.add_argument("--net-size", type=int, default=3000)
+    p.add_argument("--net-size", type=positive_int, default=3000)
     p.add_argument("--test-elements", type=non_negative_int, default=24)
     p.add_argument("--density-check", action="store_true")
     p.add_argument("--density-probes", type=positive_int, default=100)

@@ -22,7 +22,10 @@ CONSTRUCTION_TOL = 1e-9  # a built unitary's miss of unitarity or of its carried
 WITNESS_STRICTNESS = 1e-12
 DISTANCE_STRICTNESS = 1e-9  # margin by which a witness's distance must clear 2
 MAX_COUNT = 1 << 24
-MAX_NET_BYTES = 128_000_000  # of complex128 unitary or test-net elements: 2,000,000 at dim 2
+# Of complex128 unitary or test-net elements, 2,000,000 at dim 2.  It caps
+# an exhaustive net's element count as if the net were formed whole, though
+# only its phases and SU(2) grid are held.
+MAX_NET_BYTES = 128_000_000
 # One working array of a blocked kernel, a few of which fit a 2 MiB L2
 # cache together: a drawn block of Haar unitaries or test contractions, a
 # block of net elements checked for unitarity, a float (probes x

@@ -42,6 +42,13 @@ _FIRST_NORMS = 4
 class UnitaryNet:
     """Finite enumeration of unitaries standing in for a dense subset.
 
+    The net is unit phases, of which the first is exactly 1, times a base
+    stack: for K base elements, element k K + j is `phases[k] * base[j]`.
+    An exhaustive net is its m phases times the SU(2) grid (`[[1]]` at dim
+    1); a random net is phase 1 times its drawn stack.  Readers take blocks
+    of elements from `rows`, so an exhaustive net is never formed whole;
+    `elements` forms it.
+
     `resolution` is the covering radius the net aims at.  An exhaustive
     net proves `covering_radius` <= `resolution`; a random net proves none.
     """
@@ -49,11 +56,40 @@ class UnitaryNet:
     dim: int
     resolution: float
     mode: str
-    elements: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
+    base: np.ndarray = field(repr=False)
     covering_radius: float | None = None
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return len(self.phases) * len(self.base)
+
+    @property
+    def elements(self) -> np.ndarray:
+        """All elements as one (len, dim, dim) stack, formed anew unless there is one phase."""
+        return self.rows(0, len(self))
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Elements lo..hi-1, for 0 <= lo < hi <= len.
+
+        Rows of phase 0, which is exactly 1, are a view of the base.  A
+        block reaching past them is formed as a product for its partial
+        first phase, its whole phases and its partial last phase.
+        """
+        size = len(self.base)
+        if hi <= size:
+            return self.base[lo:hi]
+        out = np.empty((hi - lo, self.dim, self.dim), dtype=np.complex128)
+        first, a = divmod(lo, size)
+        last, b = divmod(hi, size)
+        if first == last:
+            np.multiply(self.phases[first], self.base[a:b], out=out)
+            return out
+        np.multiply(self.phases[first], self.base[a:], out=out[: size - a])
+        whole = out[size - a : len(out) - b].reshape(-1, size, self.dim, self.dim)
+        np.multiply(self.phases[first + 1 : last, None, None, None], self.base, out=whole)
+        if b:
+            np.multiply(self.phases[last], self.base[:b], out=out[len(out) - b :])
+        return out
 
 
 def _element_cap(dim: int, kind: str) -> int:
@@ -109,8 +145,8 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int, float]:
     return min(plans)[1:]
 
 
-def _check_all_unitary(elements: np.ndarray) -> None:
-    """Refuse a stack whose worst ||u*u - I||_F, over row blocks, exceeds CONSTRUCTION_TOL."""
+def _check_all_unitary(elements: np.ndarray) -> float:
+    """Worst ||u*u - I||_F over a stack, in row blocks; refused past CONSTRUCTION_TOL."""
     dim = elements.shape[-1]
     step = block_rows(16 * dim * dim)
     worst = 0.0
@@ -122,6 +158,35 @@ def _check_all_unitary(elements: np.ndarray) -> None:
         worst = max(worst, float(np.sqrt(np.max(np.einsum("nij,nij->n", gram.conj(), gram).real))))
     if worst > CONSTRUCTION_TOL:
         raise NumericalInvariantError(f"net element off unitarity by {worst:.3e}")
+    return worst
+
+
+def _check_products_unitary(phases: np.ndarray, base: np.ndarray) -> None:
+    """Refuse unless every rounded product p s of a phase and a base element is unitary.
+
+    The base is checked once; the bound below on each product's miss,
+    within CONSTRUCTION_TOL, is never below what `_check_all_unitary`
+    would measure on the products.  With u = 2^-53, v = fl(p s) is p s + E,
+    each entry of E within sqrt(5) u |p s_ij|, so ||E||_F <= e = sqrt(5) u
+    |p| ||s||_F, and ||s||_F^2 = tr s*s <= d + sqrt(d) ||s*s - I||_F <= 2d.
+    As v*v - I = |p|^2 (s*s - I) + (|p|^2 - 1) I + conj(p) s*E + p E*s + E*E,
+        ||v*v - I||_F <= |p|^2 miss + ||p|^2 - 1| sqrt(d) + 2 |p| ||s||_F e + e^2.
+    Each measured miss, the base's and a product's, is off the exact one by
+    less than r = 16 d^2 u max(1, |p|)^2 ||s||_F^2, which also covers the
+    rounding of the computed |p| and ||p|^2 - 1|; the bound adds r for each.
+    """
+    d = base.shape[-1]
+    miss = _check_all_unitary(base)
+    moduli = np.abs(phases)
+    top = float(moduli.max())
+    off = float(np.max(np.abs(moduli * moduli - 1.0)))
+    unit = 2.0**-53
+    frob = math.sqrt(2 * d)
+    e = math.sqrt(5.0) * unit * top * frob
+    slack = 16 * d * d * unit * (max(top, 1.0) * frob) ** 2
+    bound = top * top * (miss + slack) + off * math.sqrt(d) + 2 * top * frob * e + e * e + slack
+    if bound > CONSTRUCTION_TOL:
+        raise NumericalInvariantError(f"net element off unitarity by up to {bound:.3e}")
 
 
 def _draw_blocks(draw, dim: int, rng: np.random.Generator, count: int):
@@ -161,20 +226,26 @@ def enumerate_net(dim: int, epsilon: float) -> UnitaryNet:
     Element k K + j is e^{2 pi i k / (dim m)} times point j of the K-point
     `_su2_grid` (1 at dim 1), for the n and m of `exhaustive_net_plan`.  As
     det u = e^{2 i phi} fixes the phase, no element repeats; element 0 is
-    the identity.  Other dims and nets over the byte cap are refused with a
-    size-limit error: the signal to use a random net.
+    the identity.  The net holds the m phases and the grid, never their
+    products; the grid is checked for unitarity once, and the products
+    through a proven bound (`_check_products_unitary`).  Other dims and nets
+    over the byte cap, which still caps the element count, are refused with
+    a size-limit error: the signal to use a random net.
     """
     n, m, radius = exhaustive_net_plan(dim, epsilon)
     phases = np.exp(2j * np.pi * np.arange(m) / (dim * m))
-    special = _su2_grid(n) if dim == 2 else np.ones((1, 1, 1), dtype=np.complex128)
-    elements = (phases[:, None, None, None] * special).reshape(-1, dim, dim)
-    del special  # the grid is not held through the unitarity check
-    _check_all_unitary(elements)
+    base = _su2_grid(n) if dim == 2 else np.ones((1, 1, 1), dtype=np.complex128)
+    # Phase 0 is exactly 1.  Multiplying by it changes only the signs of
+    # some zero parts, as forming the products does: the base rows are then
+    # the phase-0 elements bit for bit.
+    base *= 1.0 + 0.0j
+    _check_products_unitary(phases, base)
     return UnitaryNet(
         dim=dim,
         resolution=float(epsilon),
         mode="exhaustive",
-        elements=elements,
+        phases=phases,
+        base=base,
         covering_radius=radius,
     )
 
@@ -183,7 +254,8 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     """Seeded Haar-random net with the identity as element 0.
 
     Used where no exhaustive net exists; its covering radius is only
-    measured, by `net_density_report`, never proven.
+    measured, by `net_density_report`, never proven.  It is phase 1 times
+    the drawn stack, which is held whole.
     """
     _net_cap(dim, epsilon, size)
     rng = np.random.default_rng(seed)
@@ -192,7 +264,13 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     for lo, block in _draw_blocks(haar_unitary, dim, rng, size):
         _check_all_unitary(block)
         elements[1 + lo : 1 + lo + len(block)] = block
-    return UnitaryNet(dim=dim, resolution=float(epsilon), mode="random", elements=elements)
+    return UnitaryNet(
+        dim=dim,
+        resolution=float(epsilon),
+        mode="random",
+        phases=np.ones(1, dtype=np.complex128),
+        base=elements,
+    )
 
 
 def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,10 +298,10 @@ def _exact_norms(exact, block, u, q, e, pairs: int) -> None:
         exact[qs, es] = operator_norms(block[es] - u[qs])
 
 
-def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and operator-norm distance of the closest element to each probe.
+def _nearest(net: UnitaryNet, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and operator-norm distance of the closest net element to each probe.
 
-    Bit-identical to computing `operator_norms(elements - u)` for each
+    Bit-identical to computing `operator_norms(net.elements - u)` for each
     probe u and keeping the first index of the least value, but exact norms
     are computed only for (element, probe) pairs that can still win.  The
     largest column norm of N - u bounds ||N - u|| from below; its square
@@ -240,11 +318,12 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     than some normed one, so it can neither win nor tie.
 
     Element chunks of at most `_CHUNK` run outside and probe tiles inside,
-    so a chunk's columns are formed once; a chunk's columns, 16 d^2 bytes
-    per element, stay within 16 block budgets, and a tile's float (probe,
-    element) arrays, allocated once per chunk, within one.
+    so a chunk's columns are formed once; a chunk's elements, taken from
+    `net.rows`, and its columns, 16 d^2 bytes per element each, stay within
+    16 block budgets, and a tile's float (probe, element) arrays, allocated
+    once per chunk, within one.
     """
-    n, d, count = elements.shape[0], elements.shape[-1], probes.shape[0]
+    n, d, count = len(net), net.dim, probes.shape[0]
     best = np.full(count, np.inf)
     index = np.zeros(count, dtype=np.intp)
     # Rounding moves the squared bound by about 2d eps and the squared exact
@@ -256,7 +335,7 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
     # a slice forms about four (pairs, d, d) complex arrays: operands, differences, Gram matrices
     pairs = block_rows(64 * d * d)
     for lo in range(0, n, chunk):
-        block = elements[lo : lo + chunk]
+        block = net.rows(lo, min(n, lo + chunk))
         cols, sq_less = _columns(block)
         # The slack is taken off the squared column norms, not the tile.
         sq_less -= slack * sq_less.max(axis=0)
@@ -305,7 +384,7 @@ def _nearest(elements: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.n
             win = dist < near
             near[win] = dist[win]
             near_idx[win] = lo + i[win]
-        del cols, sq_less, bound, exact  # before the next chunk's are formed
+        del block, cols, sq_less, bound, exact  # before the next chunk's are formed
     return index, best
 
 
@@ -330,7 +409,7 @@ def net_density_report(net: UnitaryNet, probes: int = 100, seed: int = 0) -> Den
     rng = np.random.default_rng(seed)
     dists = np.empty(check_count(probes, "density probe count"))
     for lo, block in _draw_blocks(haar_unitary, net.dim, rng, probes):
-        dists[lo : lo + len(block)] = _nearest(net.elements, block)[1]
+        dists[lo : lo + len(block)] = _nearest(net, block)[1]
     return DensityReport(
         probes=probes,
         max_distance=float(dists.max()),
@@ -422,7 +501,7 @@ def witness_search(
     conj_psi = psi.vector.conj()
     most = max(2, block_rows(16 * (net.dim * net.dim + flat.shape[1])))
     for lo, hi in _scan_blocks(len(net), most):
-        block = net.elements[lo:hi]
+        block = net.rows(lo, hi)
         # the pulled-back vectors u* psi, conjugated: psi^H u, row by row
         conj_pulled = conj_psi @ block
         outer = conj_pulled[:, :, None] * conj_pulled.conj()[:, None, :]
@@ -430,8 +509,8 @@ def witness_search(
         gaps = np.max(np.abs(outer @ flat - phi_vals), axis=1)
         hits = np.nonzero(gaps < threshold)[0]
         if hits.size:
-            i = lo + int(hits[0])
-            return WitnessResult(index=i, unitary=net.elements[i], gap=float(gaps[hits[0]]))
+            i = int(hits[0])
+            return WitnessResult(index=lo + i, unitary=block[i], gap=float(gaps[i]))
     return None
 
 

@@ -5,7 +5,8 @@ projectors, parametrized rotations, and the explicit two-plane unitary
 and the vector pairs it is tested on, to build expected values from; a
 vector state's value <a v, v> on one element, the test-set gap
 sup_a |phi(a) - psi(u a u*)| the witness search is checked against, the
-nearest net element to a single unitary, the writer of the angle-file
+nearest net element to a single unitary, the exhaustive net formed
+whole, each phase times the grid, and a net holding a bare stack, the writer of the angle-file
 format the package reads, the level-to-dimension map, the sequential per-pair compass search the
 lockstep oracle search is checked against, the whole-chunk witness
 scan the growing-block scan is checked against, the one-step-at-a-time
@@ -38,7 +39,14 @@ from carlab.seeding import check_seed
 from carlab.sequences import cosine_products, paired_angles, trace_distances, validate_angles
 from carlab.states import VectorState, separation_witness, state_distance
 from carlab.truncation import check_level
-from carlab.witness import TestElementNet, UnitaryNet, WitnessResult, _nearest
+from carlab.witness import (
+    TestElementNet,
+    UnitaryNet,
+    WitnessResult,
+    _nearest,
+    _su2_grid,
+    exhaustive_net_plan,
+)
 
 
 def projector(v) -> np.ndarray:
@@ -143,8 +151,27 @@ def nearest_net_element(net: UnitaryNet, u) -> tuple[int, float]:
     u = as_square_matrix(u)
     if u.shape[0] != net.dim:
         raise InvalidInputError("dimension mismatch with net")
-    index, dist = _nearest(net.elements, u[None])
+    index, dist = _nearest(net, u[None])
     return int(index[0]), float(dist[0])
+
+
+def exhaustive_net_by_products(dim: int, epsilon: float, first: int = 0, last: int | None = None):
+    """Elements of phases first..last-1 of `enumerate_net(dim, epsilon)`, formed whole.
+
+    Each phase times every grid point, in one broadcast product, as the
+    package formed its exhaustive nets before it held them as phases and
+    grid: `(phases[:, None, None, None] * grid).reshape(-1, d, d)`.
+    """
+    n, m, _ = exhaustive_net_plan(dim, epsilon)
+    phases = np.exp(2j * np.pi * np.arange(m) / (dim * m))[first:last]
+    grid = _su2_grid(n) if dim == 2 else np.ones((1, 1, 1), dtype=np.complex128)
+    return (phases[:, None, None, None] * grid).reshape(-1, dim, dim)
+
+
+def stack_net(elements: np.ndarray) -> UnitaryNet:
+    """A random-mode net of a (k, d, d) stack as it stands: phase 1 times the stack."""
+    return UnitaryNet(dim=elements.shape[-1], resolution=0.4, mode="random",
+                      phases=np.ones(1, dtype=np.complex128), base=elements)
 
 
 def write_angle_file(path, values) -> None:

@@ -8,6 +8,7 @@ import pytest
 from carlab import cli, config, experiments, linalg, witness
 from carlab.errors import SizeLimitError
 from carlab.seeding import derive_seeds
+from test_process_entry import _fresh
 
 
 def _run(tmp_path, argv, name):
@@ -215,7 +216,7 @@ def test_fsigma_search_random_net_density_uses_independent_probes(tmp_path):
     net = witness.random_net(2, 0.4, size=300, seed=1)
     probe_seed = derive_seeds(1, 3 + 2)[-1]
     probes = linalg.haar_unitary(2, np.random.default_rng(probe_seed), count=40)
-    dists = witness._nearest(net.elements, probes)[1]
+    dists = witness._nearest(net, probes)[1]
     assert dists.min() > 0.0
     assert dists.max() == summary["density_max_distance"]
 
@@ -427,6 +428,33 @@ def _only_error_record(capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     return json.loads(lines[0], parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # the default dim-2 exhaustive net ignores --net-size: it ran and
+    # echoed "net_size": -5 into its artifact
+    (["fsigma-search", "--net-size", "-5", "--pairs", "1"], "--net-size"),
+    (["fsigma-search", "--net", "random", "--net-size", "0", "--pairs", "1"], "--net-size"),
+    # refused once numpy had loaded, as an "empty search window [0, 64]"
+    (["separation", "--alpha", "zero", "--beta", "zero", "--start", "0"], "--start"),
+])
+def test_non_positive_count_flags_refused_before_numpy_loads(tmp_path, argv, flag):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import carlab.cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = carlab.cli.main({argv + ['--output', 'x.json']!r})\n"
+        "print(json.dumps({'code': code, 'err': err.getvalue(), 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    result = _fresh(code, tmp_path)
+    assert result["code"] == 2
+    assert not result["numpy"]
+    (line,) = result["err"].strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "config"
+    assert f"argument {flag}: expected a positive integer" in record["message"]
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_exhaustive_net_count_beyond_float_refused(tmp_path, capsys):

@@ -7,14 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlab import cli, config, linalg, witness
-from carlab.errors import DomainError, InvalidInputError, SizeLimitError
+from carlab.errors import DomainError, InvalidInputError, NumericalInvariantError, SizeLimitError
 from carlab.states import VectorState, pullback
 from reference import (
     columns_by_concatenation,
+    exhaustive_net_by_products,
     nearest_net_element,
     projector,
     random_test_elements_by_loop,
     rotation_unitary,
+    stack_net,
     sup_gap,
     witness_search_by_chunks,
 )
@@ -108,7 +110,7 @@ def _assert_covered(dim, epsilon, seed):
     n, m, radius = witness.exhaustive_net_plan(dim, epsilon)
     assert net.covering_radius == radius <= epsilon
     probes = _adversarial_probes(dim, n, m, np.random.default_rng(seed), 40)
-    dists = witness._nearest(net.elements, probes)[1]
+    dists = witness._nearest(net, probes)[1]
     # 1e-12 is rounding: a dim-1 phase midpoint sits at the radius exactly
     assert dists.max() <= radius + 1e-12
 
@@ -158,9 +160,10 @@ def _nearest_reference(elements, u):
     return i, dists[i]
 
 
-def _assert_nearest_matches_reference(elements, probes):
-    index, dist = witness._nearest(elements, probes)
+def _assert_nearest_matches_reference(net, probes):
+    index, dist = witness._nearest(net, probes)
     assert index.shape == dist.shape == (len(probes),)
+    elements = net.elements
     for k, u in enumerate(probes):
         i, d = _nearest_reference(elements, u)
         assert (index[k], dist[k]) == (i, d)
@@ -205,7 +208,7 @@ def test_nearest_equals_full_scan(dim, size, seed, probes, ties, chunk, block_by
         u = scales * linalg.haar_unitary(dim, rng, count=9)
     with mock.patch.object(witness, "_CHUNK", chunk), \
             mock.patch.object(config, "BLOCK_BYTES", block_bytes):
-        _assert_nearest_matches_reference(elements, u)
+        _assert_nearest_matches_reference(stack_net(elements), u)
 
 
 def test_nearest_on_exhaustive_net_equals_full_scan():
@@ -216,7 +219,7 @@ def test_nearest_on_exhaustive_net_equals_full_scan():
         net.elements[[0, 1, len(net) - 1]],
         net.elements[-1:] + 1e-12,
     ])
-    _assert_nearest_matches_reference(net.elements, probes)
+    _assert_nearest_matches_reference(net, probes)
     for u in probes[:3]:
         assert nearest_net_element(net, u) == tuple(_nearest_reference(net.elements, u))
 
@@ -236,7 +239,8 @@ def test_columns_equal_concatenated_form(dim, count, seed):
 def _density_reference(net, probes, seed):
     """The per-probe full scan the batched density report replaces."""
     rng = np.random.default_rng(seed)
-    return np.array([_nearest_reference(net.elements, linalg.haar_unitary(net.dim, rng))[1]
+    elements = net.elements
+    return np.array([_nearest_reference(elements, linalg.haar_unitary(net.dim, rng))[1]
                      for _ in range(probes)])
 
 
@@ -371,6 +375,127 @@ def test_exhaustive_net_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= net.elements.nbytes + 6 * config.BLOCK_BYTES
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dim=st.sampled_from([1, 2]),
+    epsilon=st.floats(0.15, 1.0),
+    span=st.sampled_from(["phase 0", "one later phase", "across phases"]),
+    data=st.data(),
+)
+def test_exhaustive_net_rows_equal_products_formed_whole(dim, epsilon, span, data):
+    net = witness.enumerate_net(dim, epsilon)
+    size, m = len(net.base), len(net.phases)
+    assert len(net) == size * m
+    first = {"phase 0": 0, "one later phase": data.draw(st.integers(1, m - 1)),
+             "across phases": data.draw(st.integers(0, m - 2))}[span]
+    lo = first * size + data.draw(st.integers(0, size - 1))
+    end = (first + 1) * size
+    hi = data.draw(st.integers(lo + 1, end) if span != "across phases"
+                   else st.integers(end + 1, min(len(net), lo + 3 * size + 1)))
+    last = (hi - 1) // size + 1
+    expected = exhaustive_net_by_products(dim, epsilon, first, last)
+    block = net.rows(lo, hi)
+    assert block.shape == (hi - lo, dim, dim)
+    assert block.tobytes() == expected[lo - first * size : hi - first * size].tobytes()
+    # rows of phase 0 are the base itself, not a copy
+    assert np.shares_memory(block, net.base) == (span == "phase 0")
+
+
+@pytest.mark.parametrize("dim, epsilon", [(1, 0.5), (2, 0.7)])
+def test_exhaustive_net_elements_equal_products_formed_whole(dim, epsilon):
+    net = witness.enumerate_net(dim, epsilon)
+    assert net.elements.tobytes() == exhaustive_net_by_products(dim, epsilon).tobytes()
+
+
+@pytest.mark.parametrize("dim, epsilon, probes", [(1, 0.05, 20), (2, 0.7, 40), (2, 0.4, 30)])
+def test_exhaustive_net_density_and_nearest_equal_full_scans(dim, epsilon, probes):
+    net = witness.enumerate_net(dim, epsilon)
+    size = len(net.base)
+    # elements of phases 1 and later, at distance 0 from themselves
+    members = [size, 2 * size - 1, len(net) // 2, len(net) - 1]
+    haar = linalg.haar_unitary(dim, np.random.default_rng(5), count=10)
+    probes_at = np.concatenate([haar, net.elements[members]])
+    _assert_nearest_matches_reference(net, probes_at)
+    index, dist = witness._nearest(net, probes_at)
+    assert index[10:].tolist() == members and not dist[10:].any()
+    report = witness.net_density_report(net, probes=probes, seed=4)
+    dists = _density_reference(net, probes, seed=4)
+    assert report.max_distance == dists.max()
+    assert report.mean_distance == dists.mean()
+
+
+@pytest.mark.parametrize("dim, epsilon", [(1, 0.5), (2, 1.0), (2, 0.4)])
+def test_witness_search_on_exhaustive_net_equals_chunk_scan(dim, epsilon):
+    net = witness.enumerate_net(dim, epsilon)
+    tests = witness.build_test_element_net(dim, n_random=24, seed=dim)
+    rng = np.random.default_rng(26)
+    for _ in range(6):
+        psi = VectorState(linalg.random_unit_vector(dim, rng))
+        phi = pullback(psi, linalg.haar_unitary(dim, rng))
+        _assert_scan_matches_chunks(phi, psi, net, tests)
+    if dim == 2:
+        # a test element of norm 1000 leaves no witness: every row of every
+        # phase is scanned, across the phase boundaries
+        e0 = np.eye(2, dtype=np.complex128)[0]
+        wide = witness.TestElementNet(2, np.diag([1000.0, -1000.0]).astype(complex)[None])
+        psi = VectorState(np.array([0.6, 0.8], dtype=np.complex128))
+        assert witness.witness_search(VectorState(e0), psi, net, wide) is None
+        _assert_scan_matches_chunks(VectorState(e0), psi, net, wide)
+
+
+def test_exhaustive_net_scan_memory_is_bounded_by_the_grid():
+    # the net is its phases and its 13,920-point grid (0.89 MB); formed
+    # whole it was 25.8 MB.  Building the grid peaks at about 2.5x its
+    # bytes; the scan adds a chunk of elements and its columns.
+    tracemalloc.start()
+    try:
+        net = witness.enumerate_net(2, 0.2)
+        witness.net_density_report(net, probes=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(net) == 403_680
+    assert peak <= net.base.nbytes + 10 * config.BLOCK_BYTES
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    case=st.sampled_from([(1, "phase"), (2, "phase"), (2, "grid")]),
+    which=st.integers(0, 2**16),
+    scale=st.floats(0.05, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=(2, "grid"), which=3, scale=4.0, seed=0)
+@example(case=(2, "phase"), which=0, scale=0.05, seed=0)
+def test_product_check_refuses_wherever_a_full_check_would(case, which, scale, seed):
+    dim, target = case
+    epsilon = 0.7
+    n, m, _ = witness.exhaustive_net_plan(dim, epsilon)
+    grid = witness._su2_grid(n) if dim == 2 else None
+    phases = np.exp(2j * np.pi * np.arange(m) / (dim * m))
+    delta = scale * config.CONSTRUCTION_TOL
+    if target == "grid":
+        # one grid point moved by delta in Frobenius norm, in a random direction
+        rng = np.random.default_rng(seed)
+        step = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        grid[which % len(grid)] += delta * step / np.linalg.norm(step)
+    else:
+        phases[which % m] *= 1.0 + delta * (1 if seed % 2 else -1)
+    base = grid if dim == 2 else np.ones((1, 1, 1), dtype=np.complex128)
+    try:
+        worst = witness._check_all_unitary((phases[:, None, None, None] * base).reshape(-1, dim, dim))
+    except NumericalInvariantError:
+        worst = None  # a full check of the products refuses them
+    with mock.patch.object(witness, "_su2_grid", lambda n: grid.copy()), \
+            mock.patch.object(np, "exp", lambda x: phases.copy()):
+        if worst is None:
+            with pytest.raises(NumericalInvariantError, match="off unitarity"):
+                witness.enumerate_net(dim, epsilon)
+        elif worst < config.CONSTRUCTION_TOL - 1e-12:
+            # and no stricter than the full check, but for the rounding it adds
+            witness.enumerate_net(dim, epsilon)
 
 
 @pytest.mark.parametrize(
@@ -541,7 +666,7 @@ def _net_with_one_witness(dim, size, k, seed, vary_bad=False, n_random=10):
         elements[:, :, 1:] = elements[:, :, 1:] @ linalg.haar_unitary(dim - 1, rng, count=size)
     if k is not None:
         elements[k] = np.eye(dim)
-    net = witness.UnitaryNet(dim=dim, resolution=0.4, mode="random", elements=elements)
+    net = stack_net(elements)
     tests = witness.build_test_element_net(dim, n_random=n_random, seed=seed)
     return VectorState(phi), VectorState(psi), net, tests
 
