@@ -3,29 +3,14 @@
 
     python scripts/compare_artifacts.py OLD_TREE NEW_TREE
 
-Runs a fixed list of 42 invocations (the seven README commands, the ten
-benchmark invocations at seed 1, two `--phase-policy eigenvalue-one`
-runs, a `reduce` of the slowly converging `power:0.55` at length 4000,
-`min-distance` at dims 3 and 4 with seed 7, a dim-8 random-net
-`fsigma-search`, the dim-16 and dim-4 exhaustive-net refusals, a dim-2
-exhaustive net at `--epsilon 0.2` and one at `--epsilon 0.3` (79,040
-elements, n = 8 and m = 19) with 50 density probes, a 20,000-element
-dim-4 random net whose 200 density probes take many slices of exact
-norms, and
-`cauchy-gaps` at level 12 with spans up to 11, where a block gap
-multiplies up to 2^11 factor eigenvalues, and a `reduce` at level 12
-under `--phase-policy eigenvalue-one`, whose per-level rows are span-1
-block gaps at the level cap, and `reduce` and `cauchy-gaps` one level past
-that cap, refused as size limits, and three `power:8` runs whose angles
-fall below 1.05e-8, where cos t rounds to 1: span-1 `cauchy-gaps` to
-level 12, and `separation` from factor 10 and, at threshold 1e-12, from
-factor 20, a `separation` of generic angles from factor 3 to the level
-cap, a `reduce` at `power:inf`, refused as a non-finite exponent,
-and five that end in the parser, so that its help text and flag refusals
-are compared: `min-distance --help`, a low `--budget`, a negative
-`--seed`, `fsigma-search --dim 3` and an unknown `product-test` family),
-each with `--out json` and `--out csv`, as `python -m carlab.cli` under each
-tree's `src` with one BLAS thread.
+Runs every invocation in `INVOCATIONS`, each with `--out json` and
+`--out csv`, as `python -m carlab.cli` under each tree's `src` with one
+BLAS thread.  The list holds the README commands, the benchmark
+invocations, and runs at the edges the package must reproduce exactly:
+both phase policies up to the level cap, nets at several resolutions,
+tiny angles, size-limit refusals and runs that end in the parser, whose
+help text and flag refusals are compared too.
+
 For every run it prints whether the exit codes, stderr and stdout (up to
 the output path) are equal, and whether the artifacts are
 byte-identical.  When they are not, it prints, per config key, summary
@@ -89,6 +74,8 @@ INVOCATIONS = [
     "fsigma-search --dim 4 --net random --net-size 20000 --pairs 5 --epsilon 0.4"
     " --density-check --density-probes 200 --seed 1",
     "cauchy-gaps --alpha harmonic --beta random:0.3:1 --levels 12 --max-span 11 --seed 1",
+    "cauchy-gaps --alpha harmonic --beta random:0.3:1 --levels 12 --max-span 11"
+    " --phase-policy eigenvalue-one --seed 1",
     "reduce --alpha harmonic --beta random:0.3:1 --levels 12 --length 400"
     " --phase-policy eigenvalue-one --seed 1",
     "reduce --alpha zero --beta zero --levels 13",

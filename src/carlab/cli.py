@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import check_budget, check_seed
+from .config import ORACLE_DIMS, PHASE_POLICIES, check_budget, check_seed
 from .errors import InvalidInputError, NumericalInvariantError, SizeLimitError
 
 EXIT_OK = 0
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "min-distance",
         help="closed-form minimum unitary distance vs the exact-image search oracle",
     )
-    p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
+    p.add_argument("--dim", type=int, choices=ORACLE_DIMS, default=2)
     p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--budget", type=budget_int, default=2000)
     _add_common(p)
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="sequence descriptor")
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--length", type=int, default=400, help="diagnostic sequence length")
-    p.add_argument("--phase-policy", choices=("none", "eigenvalue-one"), default="none")
+    p.add_argument("--phase-policy", choices=PHASE_POLICIES, default=PHASE_POLICIES[0])
     _add_common(p)
     p.set_defaults(run="run_reduce")
 
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--max-span", type=positive_int, default=6)
-    p.add_argument("--phase-policy", choices=("none", "eigenvalue-one"), default="none")
+    p.add_argument("--phase-policy", choices=PHASE_POLICIES, default=PHASE_POLICIES[0])
     _add_common(p)
     p.set_defaults(run="run_cauchy_gaps")
 

@@ -5,8 +5,8 @@ vector states keep their tensor structure and form none of full
 dimension.  Every cap is compared here (level 12, so dimension 2^12;
 2^24 array entries; 128 MB of net elements): past one, a request is
 refused with a SizeLimitError.  Blocked kernels work in BLOCK_BYTES.
-The seed range and the oracle budget floor are checked here too, so that
-the command-line parser can check them without importing numpy.
+The seed range, the oracle budget floor, the phase policies and the
+oracle dimensions are here too, so the parser checks them without numpy.
 """
 
 import sys
@@ -32,6 +32,10 @@ MAX_NET_BYTES = 128_000_000
 # elements) tile of the nearest-element scan or a slice of its exact-norm
 # pairs, or the stacked polls of a block of search trials.
 BLOCK_BYTES = 1 << 18
+# phase policies of a chain's steps, the first the default; `intertwiner.POLICY_TABLE` defines each
+PHASE_POLICIES = ("none", "eigenvalue-one")
+# vector dimensions the search oracles run at
+ORACLE_DIMS = (2, 3, 4)
 
 
 def block_rows(row_bytes: int) -> int:

@@ -28,7 +28,8 @@ from .orbit import (
     state_min_distance_searches,
 )
 from .seeding import derive_seeds
-from .sequences import angles_from_descriptor, classify_pair, partial_products, weierstrass_bounds
+from .sequences import MIN_TERMS, angles_from_descriptor, classify_pair
+from .sequences import partial_products, weierstrass_bounds
 from .states import VectorState, pullback
 from .truncation import kron_vectors
 from .witness import (
@@ -148,6 +149,8 @@ def run_reduce(args):
         raise InvalidInputError(
             f"--length {args.length} is below --levels {args.levels}"
         )
+    if args.length < MIN_TERMS:  # refused before any chain or row is built
+        raise InvalidInputError(f"--length {args.length} is below the minimum of {MIN_TERMS} terms")
     alpha, beta = _angle_pair(args, args.length, "--length")
     chain = build_chain(alpha, beta, args.levels, phase_policy=args.phase_policy)
     rows = []

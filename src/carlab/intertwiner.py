@@ -1,27 +1,28 @@
 """Truncated product states and the rotation chains that intertwine them.
 
 Each 2x2 factor gets the plane rotation carrying one angle vector to the
-other; their tensor products form a chain of unitaries, stored as the
-stack of its 2x2 factors: no 2^n x 2^n unitary, of a level or of a block,
-is ever formed.  Every gap is a block gap, the per-step gap included as
-the span-1 block (n - 1, n).  It is measured from the spectra of the
-block's factors, computed in closed form from eigenphase sign patterns,
-and compared against the overlap-product bound sqrt(2 (1 - prod cos)),
-which is reported honestly, never asserted: it fails for long blocks.
-That bound and the tail-state distances 2 sqrt(1 - P^2) are `sequences`
-maps of the cosine products, kept in log space from the half angles.
+other, phased as `POLICY_TABLE` says; their tensor products form a chain
+of unitaries, stored as the stack of its 2x2 factors: no 2^n x 2^n
+unitary, of a level or of a block, is ever formed.  Every gap is a block
+gap, the per-step gap included as the span-1 block (n - 1, n).  It is
+measured from the spectra of the block's factors, computed in closed
+form from eigenphase sign patterns, and compared against the
+overlap-product bound sqrt(2 (1 - prod cos)), which is reported
+honestly, never asserted: it fails for long blocks.  That bound and the
+tail-state distances 2 sqrt(1 - P^2) are `sequences` maps of the cosine
+products, kept in log space from the half angles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import CONSTRUCTION_TOL, MAX_LEVEL
+from .config import CONSTRUCTION_TOL, MAX_LEVEL, PHASE_POLICIES
 from .errors import InvalidInputError, LevelError, NumericalInvariantError
-from .linalg import as_square_matrix, operator_norms, phase_combination_norm, plane_rotation
+from .linalg import as_square_matrix, operator_norms, phase_combination_norm
 from .sequences import chord_distances, cosine_products, paired_angles, trace_distances
 from .states import separation_witness
 from .truncation import (
@@ -33,29 +34,33 @@ from .truncation import (
     product_vector,
 )
 
-PHASE_POLICIES = ("none", "eigenvalue-one")
+
+def _rotations(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(k, 2, 2) rotations by beta - alpha, each carrying (cos a, sin a) to (cos b, sin b)."""
+    c, s = np.cos(beta - alpha), np.sin(beta - alpha)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(np.complex128)
 
 
-def step_unitary(alpha_j: float, beta_j: float, phase_policy: str = "none") -> np.ndarray:
-    """2x2 unitary carrying (cos a, sin a) to (cos b, sin b).
+@dataclass(frozen=True)
+class PhasePolicy:
+    """One phase policy: its steps, their eigenphases and its carrier check, from angle arrays."""
 
-    "none" is the bare plane rotation; "eigenvalue-one" multiplies by a
-    phase so the unitary fixes a vector, which changes how gaps accumulate
-    across tensor products.
-    """
-    if phase_policy not in PHASE_POLICIES:
-        raise InvalidInputError(f"unknown phase policy {phase_policy!r}")
-    u = plane_rotation(float(beta_j) - float(alpha_j))
-    if phase_policy == "eigenvalue-one":
-        u = u * np.exp(1j * (float(alpha_j) - float(beta_j)))
-    return u
+    steps: Callable[[np.ndarray, np.ndarray], np.ndarray]  # alpha, beta -> (k, 2, 2) steps
+    eigenphases: Callable[[np.ndarray], np.ndarray]  # theta = alpha - beta -> (k, 2) pairs
+    exact: bool  # a step carries alpha's factor vector onto beta's exactly, not up to a phase
 
 
-def _step_phase_pair(theta: float, phase_policy: str) -> tuple[float, float]:
-    """Eigenphases of the step unitary for angle gap theta = alpha - beta."""
-    if phase_policy == "none":
-        return (theta, -theta)
-    return (0.0, 2.0 * theta)
+# "none" steps are the bare rotations, with eigenvalues e^{+-i theta};
+# "eigenvalue-one" multiplies each by e^{i theta}, so that it fixes a
+# vector, which changes how gaps accumulate across tensor products
+POLICY_TABLE = {
+    "none": PhasePolicy(_rotations, lambda t: np.stack([t, -t], axis=1), exact=True),
+    "eigenvalue-one": PhasePolicy(
+        lambda a, b: _rotations(a, b) * np.exp(1j * (a - b))[:, None, None],
+        lambda t: np.stack([np.zeros_like(t), 2.0 * t], axis=1),
+        exact=False,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -71,16 +76,12 @@ class IntertwinerChain:
     phase_policy: str
     factors: np.ndarray
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return self.alpha - self.beta
-
 
 def build_chain(
     alpha,
     beta,
     levels: int,
-    phase_policy: str = "none",
+    phase_policy: str = PHASE_POLICIES[0],
 ) -> IntertwinerChain:
     """Build the chain of tensor products of step unitaries up to `levels`.
 
@@ -94,7 +95,9 @@ def build_chain(
     if levels > a.size:
         raise InvalidInputError(f"levels {levels} exceed the {a.size} angle pairs given")
     check_level(levels)
-    factors = np.array([step_unitary(a[j], b[j], phase_policy) for j in range(levels)])
+    if phase_policy not in POLICY_TABLE:
+        raise InvalidInputError(f"unknown phase policy {phase_policy!r}")
+    factors = POLICY_TABLE[phase_policy].steps(a[:levels], b[:levels])
     chain = IntertwinerChain(alpha=a, beta=b, phase_policy=phase_policy, factors=factors)
     _verify_chain(chain)
     return chain
@@ -114,7 +117,7 @@ def _verify_chain(chain: IntertwinerChain) -> None:
     drift = np.cumprod(1.0 + operator_norms(grams - np.eye(2))) - 1.0
     images = np.einsum("nij,nj->ni", chain.factors, angle_vectors(chain.alpha[:levels]))
     targets = angle_vectors(chain.beta[:levels])
-    if chain.phase_policy == "none":
+    if POLICY_TABLE[chain.phase_policy].exact:
         misses = (1.0 + drift) * np.cumsum(np.linalg.norm(images - targets, axis=1))
     else:
         misses = np.abs(1.0 - np.cumprod(np.abs(np.sum(images.conj() * targets, axis=1))))
@@ -187,10 +190,8 @@ def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
         raise LevelError(f"need 0 <= m < n <= {len(chain.factors)}")
     eigenvalues = np.linalg.eigvals(chain.factors[m:n])
     measured = float(np.max(np.abs(1.0 - kron_vectors(eigenvalues))))
-    thetas = chain.thetas[m:n]
-    spectral = phase_combination_norm(
-        [_step_phase_pair(float(t), chain.phase_policy) for t in thetas]
-    )
+    thetas = chain.alpha[m:n] - chain.beta[m:n]
+    spectral = phase_combination_norm(POLICY_TABLE[chain.phase_policy].eigenphases(thetas))
     bound = float(chord_distances(*cosine_products(thetas))[-1])
     return BlockGap(
         start=m,
@@ -204,12 +205,9 @@ def block_gap(chain: IntertwinerChain, m: int, n: int) -> BlockGap:
 
 def block_gaps(chain: IntertwinerChain, max_span: int = 6) -> list[BlockGap]:
     """All block gaps from start 1 with span at most max_span, in (start, end) order."""
-    out = []
     top = len(chain.factors)
-    for m in range(1, top):
-        for n in range(m + 1, min(m + max_span, top) + 1):
-            out.append(block_gap(chain, m, n))
-    return out
+    spans = ((m, n) for m in range(1, top) for n in range(m + 1, min(m + max_span, top) + 1))
+    return [block_gap(chain, m, n) for m, n in spans]
 
 
 @dataclass(frozen=True)

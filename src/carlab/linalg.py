@@ -1,12 +1,11 @@
 """Dense complex linear algebra primitives.
 
 Input coercion, operator and trace norms, unitarity checks, the
-explicit plane / two-plane unitaries the rest of the package is built
-from, and the batched layer shared by the search oracles and the
-unitary nets: Hermitian matrices from real generator parameters, exp(iH),
-operator norms and the terms of two-plane unitaries, over stacks.  Norms
-come from Hermitian eigen-decompositions, never from iterative methods,
-so repeated runs give identical values.
+explicit two-plane unitary, and the batched layer shared by the search
+oracles and the unitary nets: Hermitian matrices from real generator
+parameters, exp(iH), operator norms and the terms of two-plane
+unitaries, over stacks.  Norms come from Hermitian eigen-decompositions,
+never from iterative methods, so repeated runs give identical values.
 """
 
 from __future__ import annotations
@@ -162,12 +161,6 @@ def expi_hermitian(h: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
 
 
-def plane_rotation(angle: float) -> np.ndarray:
-    """The 2x2 real rotation by `angle` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def overlap_residuals(xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, ...]:
     """c = <xi|eta>, r = eta - c xi and s = ||r||, c and s as (n, 1), for (n, d) unit stacks.
 
@@ -228,8 +221,8 @@ def phase_align(xi, eta) -> np.ndarray:
     return eta * (np.conj(t) / abs(t))
 
 
-def phase_combination_norm(phase_pairs: Sequence[tuple[float, float]]) -> float:
-    """max |1 - exp(i * sum of chosen phases)| over one choice per pair.
+def phase_combination_norm(phase_pairs: np.ndarray | Sequence[tuple[float, float]]) -> float:
+    """max |1 - exp(i * sum of chosen phases)| over one choice per pair, or row.
 
     The eigenphases of a tensor product of 2x2 normal factors are the sums
     of one eigenphase per factor, so this is the exact operator norm of

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import block_rows, check_budget, check_dim
+from .config import ORACLE_DIMS, block_rows, check_budget, check_dim
 from .errors import DomainError, InvalidInputError
 from .linalg import (
     expi_hermitian,
@@ -39,7 +39,6 @@ from .linalg import (
 )
 from .sequences import chord_distances, cosine_products
 
-_ORACLE_DIMS = (2, 3, 4)
 _MAX_RESTARTS = 8
 _STEP_INIT = 0.5
 _STEP_MIN = 1e-6
@@ -188,8 +187,8 @@ def _check_oracle_inputs(xis, etas, budget: int, seeds) -> tuple[np.ndarray, np.
     if len(dims) > 1:
         raise InvalidInputError(f"pairs of one dimension expected, got {sorted(dims)}")
     dim = dims.pop()
-    if dim not in _ORACLE_DIMS:
-        raise DomainError(f"search oracle supports dimensions {_ORACLE_DIMS}, got {dim}")
+    if dim not in ORACLE_DIMS:
+        raise DomainError(f"search oracle supports dimensions {ORACLE_DIMS}, got {dim}")
     check_budget(budget)
     return np.stack([xi for xi, _ in pairs]), np.stack([eta for _, eta in pairs])
 

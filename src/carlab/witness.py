@@ -446,14 +446,14 @@ def build_test_element_net(dim: int, n_random: int = 24, seed: int = 0) -> TestE
 
 
 def _scan_blocks(n: int, most: int):
-    """Row ranges [lo, hi) of the witness scan over a net of n elements.
+    """Row ranges [lo, hi) of the witness scan over n net elements.
 
     The first block has `_FIRST_BLOCK` rows and each next one ends at
     twice the rows scanned so far, capped at `most` rows (at least 2).  A
     lone last row joins the block before it: numpy takes a one-row block
     through its vector-matrix product, which rounds differently from the
-    matrix product, so this keeps every row's gap as one product over the
-    whole net gives it.
+    matrix product, so this keeps every row's gap as one product over all
+    n rows gives it.
     """
     lo = 0
     while lo < n:
@@ -485,11 +485,13 @@ def witness_search(
     states are an exact unitary pullback of each other and the net
     guarantees covering radius below 1/2, a witness must exist.
 
-    The scan reads the net in blocks whose end doubles (see
-    `_scan_blocks`), so finding the witness at index i costs work in
-    proportion to i, not to the net's size.  A block forms a few (rows,
-    d^2 + k) complex arrays for k test elements, so its rows are capped
-    by the block budget of that width.
+    Ad(z u) = Ad(u) for a unit phase z, so the gap does not depend on an
+    element's phase: the search runs over PU(d), scanning only the net's
+    base (its phase-0 elements, indexed as in the net) in blocks whose end
+    doubles (see `_scan_blocks`), so finding the witness at index i costs
+    work in proportion to i, not to the net's size.  A block forms a few
+    (rows, d^2 + k) complex arrays for k test elements, so its rows are
+    capped by the block budget of that width.
     """
     if phi.dim != psi.dim or phi.dim != net.dim or net.dim != test_net.dim:
         raise InvalidInputError("state, net, and test-net dimensions must agree")
@@ -500,8 +502,8 @@ def witness_search(
     phi_vals = np.outer(phi.vector.conj(), phi.vector).reshape(-1) @ flat
     conj_psi = psi.vector.conj()
     most = max(2, block_rows(16 * (net.dim * net.dim + flat.shape[1])))
-    for lo, hi in _scan_blocks(len(net), most):
-        block = net.rows(lo, hi)
+    for lo, hi in _scan_blocks(len(net.base), most):
+        block = net.base[lo:hi]
         # the pulled-back vectors u* psi, conjugated: psi^H u, row by row
         conj_pulled = conj_psi @ block
         outer = conj_pulled[:, :, None] * conj_pulled.conj()[:, None, :]

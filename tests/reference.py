@@ -14,7 +14,9 @@ splitmix64 loop the vectorized seed stream is checked against, the
 one-at-a-time draw of random test elements and the concatenated column
 layout the batched witness kernels are checked against, and the
 separation rows with every tail rebuilt from its angles, one scalar
-factor at a time.  Each keeps the validation it had in the package.
+factor at a time, and the step unitaries and their eigenphase pairs
+built one factor at a time, as the policy table's stacks are checked
+against.  Each keeps the validation it had in the package.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from carlab.config import CONTRACTION_SLACK, WITNESS_STRICTNESS
+from carlab.config import CONTRACTION_SLACK, PHASE_POLICIES, WITNESS_STRICTNESS
 from carlab.errors import DomainError, InvalidInputError
 from carlab.intertwiner import SeparationRow
 from carlab.linalg import (
@@ -359,3 +361,26 @@ def separation_rows_by_rebuild(alpha, beta, start: int, stop: int) -> list[Separ
             )
         )
     return rows
+
+
+def step_unitary(alpha_j: float, beta_j: float, phase_policy: str = "none") -> np.ndarray:
+    """2x2 unitary carrying (cos a, sin a) to (cos b, sin b).
+
+    "none" is the bare plane rotation by b - a; "eigenvalue-one"
+    multiplies it by e^{i (a - b)}, so the unitary fixes a vector.
+    """
+    if phase_policy not in PHASE_POLICIES:
+        raise InvalidInputError(f"unknown phase policy {phase_policy!r}")
+    angle = float(beta_j) - float(alpha_j)
+    c, s = np.cos(angle), np.sin(angle)
+    u = np.array([[c, -s], [s, c]], dtype=np.complex128)
+    if phase_policy == "eigenvalue-one":
+        u = u * np.exp(1j * (float(alpha_j) - float(beta_j)))
+    return u
+
+
+def step_phase_pair(theta: float, phase_policy: str) -> tuple[float, float]:
+    """Eigenphases of the step unitary for angle gap theta = alpha - beta."""
+    if phase_policy == "none":
+        return (theta, -theta)
+    return (0.0, 2.0 * theta)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from carlab import cli, config, experiments, linalg, witness
+from carlab import cli, config, experiments, linalg, sequences, witness
 from carlab.errors import SizeLimitError
 from carlab.seeding import derive_seeds
 from test_process_entry import _fresh
@@ -414,6 +414,33 @@ def test_density_probe_cap_refused_before_the_net_is_built(tmp_path, capsys, mon
     assert record["error"] == "size-limit"
     assert record["estimated_size"] == config.MAX_COUNT + 1
     assert not out.exists()
+
+
+def test_reduce_short_length_refused_before_the_chain_is_built(tmp_path, capsys, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain was built before the length was checked")
+
+    monkeypatch.setattr(experiments, "build_chain", no_chain)
+    out = tmp_path / "x.json"
+    argv = ["reduce", "--alpha", "harmonic", "--beta", "zero", "--levels", "5", "--length", "5"]
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    record = _only_error_record(capsys)
+    assert record["error"] == "config"
+    assert record["message"] == f"--length 5 is below the minimum of {sequences.MIN_TERMS} terms"
+    assert not out.exists()
+
+
+def test_parser_choice_lists_come_from_config():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def choices(command, dest):
+        (action,) = [a for a in subs.choices[command]._actions if a.dest == dest]
+        return action.choices
+
+    assert choices("min-distance", "dim") is config.ORACLE_DIMS
+    for command in ("reduce", "cauchy-gaps"):
+        assert choices(command, "phase_policy") is config.PHASE_POLICIES
 
 
 def test_parser_offers_every_product_family():

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from carlab import intertwiner, linalg, sequences, truncation
+from carlab import config, intertwiner, linalg, sequences, truncation
 from carlab.config import CONSTRUCTION_TOL, MAX_LEVEL
 from carlab.errors import InvalidInputError, LevelError, NumericalInvariantError
 from carlab.states import VectorState
 from carlab.witness import build_test_element_net
-from reference import evaluate, separation_rows_by_rebuild
+from reference import evaluate, separation_rows_by_rebuild, step_phase_pair, step_unitary
 
 
 def _angles(desc, n):
@@ -46,9 +46,45 @@ def test_truncated_state_embedding_consistency():
 
 
 def test_step_unitary_carries_angle_vectors():
-    u = intertwiner.step_unitary(0.3, -0.5)
+    (u,) = intertwiner.POLICY_TABLE["none"].steps(np.array([0.3]), np.array([-0.5]))
     got = u @ np.array([np.cos(0.3), np.sin(0.3)])
     np.testing.assert_allclose(got, [np.cos(-0.5), np.sin(-0.5)], atol=1e-14)
+
+
+def test_policy_table_names_every_phase_policy():
+    # the parser's choices and the package's table are one list
+    assert intertwiner.PHASE_POLICIES is config.PHASE_POLICIES
+    assert tuple(intertwiner.POLICY_TABLE) == config.PHASE_POLICIES
+    with pytest.raises(InvalidInputError, match="^unknown phase policy 'bogus'$"):
+        intertwiner.build_chain([0.1], [0.0], 1, phase_policy="bogus")
+
+
+# angles where the steps are most delicate: below 1.05e-8, where cos t
+# rounds to 1, and within 1e-9 of +-pi/2, besides generic ones
+_TINY = st.floats(-1.05e-8, 1.05e-8, allow_subnormal=False)
+_EDGE = st.sampled_from([np.pi / 2 - 1e-9, -(np.pi / 2 - 1e-9), np.pi / 2 - 1e-12, 1.5e-8])
+_STEP_ANGLE = st.one_of(
+    _TINY, _EDGE, _EDGE.map(lambda x: -x), st.floats(-np.pi / 2 + 1e-9, np.pi / 2 - 1e-9)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    policy=st.sampled_from(intertwiner.PHASE_POLICIES),
+    pairs=st.lists(st.tuples(_STEP_ANGLE, _STEP_ANGLE), min_size=1, max_size=10),
+)
+def test_policy_table_equals_per_factor_reference_bit_for_bit(policy, pairs):
+    alpha, beta = np.array(pairs).T
+    entry = intertwiner.POLICY_TABLE[policy]
+    stack = entry.steps(alpha, beta)
+    loop = np.array([step_unitary(a, b, policy) for a, b in pairs])
+    assert stack.shape == loop.shape == (len(pairs), 2, 2)
+    assert stack.tobytes() == loop.tobytes()
+    thetas = alpha - beta
+    phases = entry.eigenphases(thetas)
+    tuples = [step_phase_pair(float(t), policy) for t in thetas]
+    assert phases.tobytes() == np.array(tuples).tobytes()
+    assert linalg.phase_combination_norm(phases) == linalg.phase_combination_norm(tuples)
 
 
 def test_chain_identity_when_angles_equal():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from carlab import intertwiner, linalg, orbit, states
 from carlab.errors import DomainError, InvalidInputError, SizeLimitError
-from reference import projector, rotation_unitary, two_plane_pair, two_plane_reference
+from reference import (
+    projector,
+    rotation_unitary,
+    step_unitary,
+    two_plane_pair,
+    two_plane_reference,
+)
 
 
 def test_operator_norm_basics():
@@ -17,7 +23,7 @@ def test_operator_norm_basics():
 
 def test_operator_norm_rotation_matches_closed_form():
     theta = 0.6
-    gap = linalg.operator_norm(np.eye(2) - linalg.plane_rotation(theta))
+    gap = linalg.operator_norm(np.eye(2) - step_unitary(0.0, theta))
     assert abs(gap - np.sqrt(2 - 2 * np.cos(theta))) <= 1e-10
 
 
@@ -393,7 +399,7 @@ def test_rotation_block_norm_matches_dense(k):
     thetas = rng.uniform(-1.2, 1.2, size=k)
     block = np.eye(1, dtype=complex)
     for t in thetas:
-        block = np.kron(block, linalg.plane_rotation(t))
+        block = np.kron(block, step_unitary(0.0, t))
     dense = linalg.operator_norm(np.eye(2**k) - block)
     closed = linalg.phase_combination_norm([(t, -t) for t in thetas])
     assert abs(dense - closed) <= 1e-10

@@ -436,13 +436,31 @@ def test_witness_search_on_exhaustive_net_equals_chunk_scan(dim, epsilon):
         phi = pullback(psi, linalg.haar_unitary(dim, rng))
         _assert_scan_matches_chunks(phi, psi, net, tests)
     if dim == 2:
-        # a test element of norm 1000 leaves no witness: every row of every
-        # phase is scanned, across the phase boundaries
+        # a test element of norm 1000 leaves no witness: the whole grid is
+        # scanned, and the chunk scan over every phase finds none either
         e0 = np.eye(2, dtype=np.complex128)[0]
         wide = witness.TestElementNet(2, np.diag([1000.0, -1000.0]).astype(complex)[None])
         psi = VectorState(np.array([0.6, 0.8], dtype=np.complex128))
         assert witness.witness_search(VectorState(e0), psi, net, wide) is None
         _assert_scan_matches_chunks(VectorState(e0), psi, net, wide)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.4])
+def test_witness_free_search_reads_only_the_grid(epsilon, monkeypatch):
+    # Ad(z u) = Ad(u), so no phase past the first is read: a witness-free
+    # search scans the K grid points, not the m K elements
+    net = witness.enumerate_net(2, epsilon)
+    assert len(net.phases) > 1
+    wide = witness.TestElementNet(2, np.diag([1000.0, -1000.0]).astype(complex)[None])
+    phi = VectorState(np.eye(2, dtype=np.complex128)[0])
+    psi = VectorState(np.array([0.6, 0.8], dtype=np.complex128))
+    assert witness_search_by_chunks(phi, psi, net, wide) is None
+
+    def no_rows(self, lo, hi):
+        raise AssertionError("the witness search formed elements past the grid")
+
+    monkeypatch.setattr(witness.UnitaryNet, "rows", no_rows)
+    assert witness.witness_search(phi, psi, net, wide) is None
 
 
 def test_exhaustive_net_scan_memory_is_bounded_by_the_grid():
