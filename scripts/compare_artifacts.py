@@ -73,6 +73,8 @@ INVOCATIONS = [
     "fsigma-search --dim 2 --epsilon 0.3 --pairs 10 --density-check --density-probes 50 --seed 2",
     "fsigma-search --dim 4 --net random --net-size 20000 --pairs 5 --epsilon 0.4"
     " --density-check --density-probes 200 --seed 1",
+    "fsigma-search --dim 2 --net random --net-size 20000 --pairs 5 --epsilon 0.4"
+    " --density-check --density-probes 100 --seed 3",
     "cauchy-gaps --alpha harmonic --beta random:0.3:1 --levels 12 --max-span 11 --seed 1",
     "cauchy-gaps --alpha harmonic --beta random:0.3:1 --levels 12 --max-span 11"
     " --phase-policy eigenvalue-one --seed 1",

@@ -147,6 +147,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def resolution_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # nan included
+        raise argparse.ArgumentTypeError(f"expected a net resolution in (0, 1], got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises flag errors as InvalidInputError, for the JSON error record."""
 
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, choices=(2, 4, 8, 16), default=2)
     p.add_argument("--pairs", type=positive_int, default=50)
-    p.add_argument("--epsilon", type=float, default=0.4)
+    p.add_argument("--epsilon", type=resolution_float, default=0.4)
     p.add_argument("--net", choices=("auto", "exhaustive", "random"), default="auto")
     p.add_argument("--net-size", type=positive_int, default=3000)
     p.add_argument("--test-elements", type=non_negative_int, default=24)

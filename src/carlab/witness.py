@@ -32,8 +32,10 @@ from .linalg import (
 )
 from .states import VectorState, pullback, state_distance
 
-_CHUNK = 8192
 _FIRST_BLOCK = 64
+# probes per tile of the nearest-element scan, whose grid blocks then span
+# at least block_rows(32) / 128 grid points
+_TILE_PROBES = 128
 # candidates per probe normed before the reach is lowered to their best
 _FIRST_NORMS = 4
 
@@ -46,8 +48,8 @@ class UnitaryNet:
     stack: for K base elements, element k K + j is `phases[k] * base[j]`.
     An exhaustive net is its m phases times the SU(2) grid (`[[1]]` at dim
     1); a random net is phase 1 times its drawn stack.  Readers take blocks
-    of elements from `rows`, so an exhaustive net is never formed whole;
-    `elements` forms it.
+    of elements from `rows`, or chosen elements from `take`, so an
+    exhaustive net is never formed whole; `elements` forms it.
 
     `resolution` is the covering radius the net aims at.  An exhaustive
     net proves `covering_radius` <= `resolution`; a random net proves none.
@@ -89,6 +91,15 @@ class UnitaryNet:
         np.multiply(self.phases[first + 1 : last, None, None, None], self.base, out=whole)
         if b:
             np.multiply(self.phases[last], self.base[:b], out=out[len(out) - b :])
+        return out
+
+    def take(self, index: np.ndarray) -> np.ndarray:
+        """Elements at the given indices, each with the bits `rows` gives it."""
+        phase, point = np.divmod(index, len(self.base))
+        out = self.base[point]
+        later = np.nonzero(phase)[0]
+        # the phase as the first factor, as in `rows`: the product rounds by operand order
+        out[later] = self.phases[phase[later], None, None] * out[later]
         return out
 
 
@@ -146,9 +157,13 @@ def exhaustive_net_plan(dim: int, epsilon: float) -> tuple[int, int, float]:
 
 
 def _check_all_unitary(elements: np.ndarray) -> float:
-    """Worst ||u*u - I||_F over a stack, in row blocks; refused past CONSTRUCTION_TOL."""
+    """Worst ||u*u - I||_F over a stack, in row blocks; refused past CONSTRUCTION_TOL.
+
+    A block forms three (rows, d, d) complex arrays, the conjugate, the
+    Gram matrices and their conjugate, which share one block budget.
+    """
     dim = elements.shape[-1]
-    step = block_rows(16 * dim * dim)
+    step = block_rows(48 * dim * dim)
     worst = 0.0
     for lo in range(0, len(elements), step):
         block = elements[lo : lo + step]
@@ -208,16 +223,38 @@ def _su2_grid(n: int) -> np.ndarray:
     occurs once: on the face of axis a, coordinates before a are interior.
     Faces run +e_0, -e_0, +e_1, ... and coordinates from the centre out
     (0, h, -h, 2h, ...), so the first point is e_0, the identity.
+
+    Each face's points are written as quaternions q = (a, b, c, d) into
+    the first four floats of their rows of the output, normalized there,
+    and the rows then completed to [[a + ib, c + id], [-c + id, a - ib]]:
+    the grid is the only array of its size formed.
     """
     ticks = np.array([0] + [s * k for k in range(1, n // 2 + 1) for s in (1, -1)]) * 2.0 / n
-    faces = [
-        np.meshgrid(*[ticks[:-2]] * axis, [sign], *[ticks] * (3 - axis), indexing="ij")
-        for axis in range(4)
-        for sign in (1.0, -1.0)
-    ]
-    q = np.concatenate([np.stack(face, axis=-1).reshape(-1, 4) for face in faces])
-    a, b, c, d = q.T / np.linalg.norm(q, axis=1)
-    return np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b], axis=1).reshape(-1, 2, 2)
+    count = 8 * n**3 + 8 * n
+    grid = np.empty((count, 2, 2), dtype=np.complex128)
+    rows = grid.view(np.float64).reshape(count, 8)
+    lo = 0
+    for axis in range(4):
+        for sign in (1.0, -1.0):
+            coords = [ticks[:-2]] * axis + [np.array([sign])] + [ticks] * (3 - axis)
+            shape = tuple(len(t) for t in coords)
+            face = rows[lo : lo + math.prod(shape)]
+            for k, t in enumerate(coords):
+                face.reshape(shape + (8,))[..., k] = t.reshape([-1 if i == k else 1 for i in range(4)])
+            # |q| summed in order, as np.linalg.norm sums a row
+            norm = face[:, 0] * face[:, 0]
+            for k in range(1, 4):
+                norm += face[:, k] * face[:, k]
+            face[:, :4] /= np.sqrt(norm, out=norm)[:, None]
+            lo += len(face)
+    # [a, b, c, d, 0 d - c, d, a, 0 - b]: the floats, zeros' signs included,
+    # of the complex sums a + 1j * b, ..., a - 1j * b
+    np.multiply(rows[:, 3], 0.0, out=rows[:, 4])
+    rows[:, 4] -= rows[:, 2]
+    rows[:, 5] = rows[:, 3]
+    rows[:, 6] = rows[:, 0]
+    np.subtract(0.0, rows[:, 1], out=rows[:, 7])
+    return grid
 
 
 def enumerate_net(dim: int, epsilon: float) -> UnitaryNet:
@@ -273,29 +310,218 @@ def random_net(dim: int, epsilon: float, size: int, seed: int) -> UnitaryNet:
     )
 
 
-def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of a (k, d, d) stack as real rows, and their squared norms.
+def _squared_columns(a: np.ndarray, slack: float) -> np.ndarray:
+    """(k, d) squared column norms of a (k, d, d) stack, each less `slack` times its squared Frobenius norm."""
+    sq = np.einsum("kij,kij->kj", a.real, a.real) + np.einsum("kij,kij->kj", a.imag, a.imag)
+    sq -= slack * sq.sum(axis=1, keepdims=True)
+    return sq
 
-    Row [j, m] of the (d, k, 2d) result is column j of matrix m, real parts
-    then imaginary parts, so Re <a e_j, b e_j> is a dot product of rows;
-    the squared norms come as a (d, k) array.
+
+class _ProbeTile:
+    """Squared lower bounds on the distances from a tile of probes to the net.
+
+    With c_j = <u e_j, s e_j>, column j of z s - u has squared norm
+    |z|^2 ||s e_j||^2 + ||u e_j||^2 - 2 Re(z c_j), and the largest column
+    norm bounds ||z s - u|| from below.  `phases` takes that bound for
+    given (probe, grid point) pairs phase by phase, with |z| taken as 1.
+    As Re(z c_j) <= |c_j|, `grid` bounds every phase of a grid point at
+    once with max_j ||s e_j||^2 + ||u e_j||^2 - 2 |c_j|, from one complex
+    product of the probes against the grid points.  A net of one phase,
+    which is 1, needs no phase bounds: its grid bound takes Re c_j, and
+    one real product per column gives it whole.
+
+    Each bound is less `slack` times ||s||_F^2 + ||u||_F^2: 64 d^2 eps
+    (times the largest |z|^2) covers the rounding of the bound, of forming
+    z s and of its exact norm, as it did for bounds from formed elements,
+    and 2 max ||z|^2 - 1| the moduli taken as 1, which move a column's
+    square by at most ||z|^2 - 1| (||s e_j||^2 + ||u e_j||^2).
     """
-    d = a.shape[-1]
-    cols = np.empty((d, a.shape[0], 2 * d))
-    cols[..., :d] = a.real.transpose(2, 0, 1)
-    cols[..., d:] = a.imag.transpose(2, 0, 1)
-    return cols, np.einsum("jkx,jkx->jk", cols, cols)
+
+    def __init__(self, net: UnitaryNet, u: np.ndarray, width: int):
+        d = net.dim
+        moduli = np.abs(net.phases)
+        top = max(1.0, float(moduli.max()))
+        off = float(np.max(np.abs(moduli * moduli - 1.0)))
+        self.slack = 64.0 * d * d * np.finfo(np.float64).eps * top * top + 2.0 * off
+        self.net, self.u = net, u
+        self.single = len(net.phases) == 1
+        self.u_sq = _squared_columns(u, self.slack)
+        if self.single:
+            # row p of rows[j] is (-2 Re u_p e_j, -2 Im u_p e_j, ||u_p e_j||^2, 1), so that
+            # rows[j] @ (Re s e_j, Im s e_j, 1, ||s e_j||^2) is the bound's column-j square
+            self.rows = np.empty((d, len(u), 2 * d + 2))
+            self.rows[:, :, :d] = -2.0 * u.real.transpose(2, 0, 1)
+            self.rows[:, :, d : 2 * d] = -2.0 * u.imag.transpose(2, 0, 1)
+            self.rows[:, :, 2 * d] = self.u_sq.T
+            self.rows[:, :, 2 * d + 1] = 1.0
+        else:
+            # row p of conj_cols[j] is conj(u_p e_j): conj_cols[j] @ s[:, :, j].T is c_j
+            self.conj_cols = np.ascontiguousarray(u.conj().transpose(2, 0, 1))
+            self.conj_flat = u.conj().reshape(len(u), -1)
+            self.u_frob = np.einsum("kij,kij->k", u.real, u.real) + np.einsum("kij,kij->k", u.imag, u.imag)
+            self._c = np.empty(len(u) * width, dtype=np.complex128)
+        # float (probe, grid point) tiles, reused block by block
+        self._y = np.empty(len(u) * width)
+        self._bound = np.empty(len(u) * width)
+
+    def grid(self, lo: int, hi: int) -> np.ndarray:
+        """(probes, hi - lo) bounds over every phase of grid points lo..hi-1."""
+        d, s = self.net.dim, self.net.base[lo:hi]
+        shape = (len(self.u), hi - lo)
+        size = shape[0] * shape[1]
+        y, bound = self._y[:size].reshape(shape), self._bound[:size].reshape(shape)
+        if self.single:
+            cols = np.empty((d, 2 * d + 2, hi - lo))
+            cols[:, :d] = s.real.transpose(2, 1, 0)
+            cols[:, d : 2 * d] = s.imag.transpose(2, 1, 0)
+            cols[:, 2 * d] = 1.0
+            s_sq = cols[:, 2 * d + 1]
+            np.einsum("jrk,jrk->jk", cols[:, : 2 * d], cols[:, : 2 * d], out=s_sq)
+            s_sq -= self.slack * s_sq.sum(axis=0)
+        else:
+            s_sq = _squared_columns(s, self.slack).T
+            c = self._c[:size].reshape(shape)
+        for j in range(d):
+            out = y if j else bound
+            if self.single:
+                np.matmul(self.rows[j], cols[j], out=out)
+            else:
+                np.matmul(self.conj_cols[j], s[:, :, j].T, out=c)
+                np.abs(c, out=out)
+                out *= -2.0
+                out += s_sq[j]
+                out += self.u_sq[:, j, None]
+            if j:
+                np.maximum(bound, y, out=bound)
+        return bound
+
+    def frobenius(self, lo: int, hi: int) -> np.ndarray:
+        """(probes, hi - lo) least ||z s - u||_F^2 over all unit z, for grid points lo..hi-1.
+
+        ||s||_F^2 + ||u||_F^2 - 2 |tr u* s|, from one complex product: it
+        ranks grid points by their distance up to a common phase, where the
+        grid bound lets each column take its own.
+        """
+        s = self.net.base[lo:hi]
+        shape = (len(self.u), hi - lo)
+        size = shape[0] * shape[1]
+        c, y = self._c[:size].reshape(shape), self._y[:size].reshape(shape)
+        np.matmul(self.conj_flat, s.reshape(hi - lo, -1).T, out=c)
+        np.abs(c, out=y)
+        y *= -2.0
+        y += np.einsum("kij,kij->k", s.real, s.real) + np.einsum("kij,kij->k", s.imag, s.imag)
+        y += self.u_frob[:, None]
+        return y
+
+    def phases(self, q: np.ndarray, points: np.ndarray, width: int):
+        """(k, bounds) for phases k..k+width-1, k = 0, width, ...: from probe q[i] to those phases of grid point points[i]."""
+        s = self.net.base[points]
+        c = np.einsum("kij,kij->kj", self.u[q].conj(), s)
+        sq = _squared_columns(s, self.slack) + self.u_sq[q]
+        for k in range(0, len(self.net.phases), width):
+            z = self.net.phases[k : k + width]
+            bound = None
+            for j in range(self.net.dim):
+                # sq_j - 2 Re(z c_j) = sq_j - 2 Re c_j Re z + 2 Im c_j Im z
+                y = np.multiply.outer(-2.0 * c[:, j].real, z.real)
+                y += np.multiply.outer(2.0 * c[:, j].imag, z.imag)
+                y += sq[:, j, None]
+                bound = y if bound is None else np.maximum(bound, y, out=bound)
+            yield k, bound
+
+    def elements(self, q: np.ndarray, points: np.ndarray, reach2: np.ndarray):
+        """Probes and element indices of the pairs (q[i], element of grid point points[i]) within reach2[q].
+
+        In pieces of up to `block_rows(8)` (pair, phase) bounds, each
+        yielded as soon as it is bounded, so that its norms lower the reach
+        of the next.
+        """
+        if self.single:
+            yield q, points
+            return
+        most, m = block_rows(8), len(self.net.phases)
+        width = min(m, most)
+        rows = max(1, most // width)
+        for lo in range(0, len(q), rows):
+            pq, pp = q[lo : lo + rows], points[lo : lo + rows]
+            for k, bound in self.phases(pq, pp, width):
+                i, phase = np.nonzero(bound <= reach2[pq, None])
+                yield pq[i], (phase + k) * len(self.net.base) + pp[i]
 
 
-def _exact_norms(exact, block, u, q, e, pairs: int) -> None:
-    """Set exact[q, e] to ||block[e] - u[q]||, `pairs` differences at a time.
+def _keep_least(low: np.ndarray, points: np.ndarray, values: np.ndarray, lo: int) -> None:
+    """Put each row's least value, of column j, in place of the row's largest in `low` where it is less.
+
+    Its point, lo + j, takes the same place in `points`.
+    """
+    r = np.arange(len(values))
+    col = np.argmin(values, axis=1)
+    slot = np.argmax(low, axis=1)
+    better = np.flatnonzero(values[r, col] < low[r, slot])
+    low[better, slot[better]] = values[better, col[better]]
+    points[better, slot[better]] = lo + col[better]
+
+
+def _first_candidates(scan: _ProbeTile, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe's first candidates, lowest bound first, and their bounds.
+
+    A pass over the grid takes each block's grid point of least rank for
+    each probe and keeps the f = `_FIRST_NORMS` of least rank (fewer where
+    the grid has fewer blocks).  With one phase the rank is the grid bound,
+    which is the element bound, and these points are the candidates: the
+    seed is each probe's element of least bound.  With more, the grid bound
+    lets each column take its own phase and ranks poorly; the rank is the
+    distance up to a common phase (`_ProbeTile.frobenius`), and the
+    candidates are the `_FIRST_NORMS` elements of the f points of least
+    phase bound.
+    """
+    net, count = scan.net, len(scan.u)
+    size, m = len(net.base), len(net.phases)
+    f = min(_FIRST_NORMS, -(-size // width))
+    rank = scan.grid if m == 1 else scan.frobenius
+    low, points = np.full((count, f), np.inf), np.full((count, f), -1, dtype=np.intp)
+    for lo in range(0, size, width):
+        _keep_least(low, points, rank(lo, min(size, lo + width)), lo)
+    r = np.arange(count)[:, None]
+    if m > 1:
+        first = min(_FIRST_NORMS, f * m)
+        low_e, idx = np.full((count, first), np.inf), np.full((count, first), -1, dtype=np.intp)
+        q, flat = np.repeat(np.arange(count), f), points.ravel()
+        for k, bound in scan.phases(q, flat, max(1, block_rows(8) // (count * f))):
+            ids = np.arange(k, k + bound.shape[1]) * size + points[:, :, None]
+            values = np.hstack([low_e, bound.reshape(count, -1)])
+            ids = np.hstack([idx, ids.reshape(count, -1)])
+            keep = np.argsort(values, axis=1, kind="stable")[:, :first]
+            low_e, idx = values[r, keep], ids[r, keep]
+        return idx, low_e
+    order = np.argsort(low, axis=1, kind="stable")
+    return points[r, order], low[r, order]
+
+
+def _take_nearer(near, near_idx, q, idx, dist) -> None:
+    """Lower near[q] to dist where it is less, or equal at a lower element index."""
+    order = np.lexsort((idx, dist, q))
+    q, idx, dist = q[order], idx[order], dist[order]
+    lead = np.ones(len(q), dtype=bool)
+    lead[1:] = q[1:] != q[:-1]
+    q, idx, dist = q[lead], idx[lead], dist[lead]
+    win = (dist < near[q]) | ((dist == near[q]) & (idx < near_idx[q]))
+    near[q[win]] = dist[win]
+    near_idx[q[win]] = idx[win]
+
+
+def _norm_pairs(net: UnitaryNet, u: np.ndarray, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """||element idx[i] - u[q[i]]|| for each i, a slice of pairs at a time.
 
     In slices: where the bound prunes little, N - u for every candidate
-    pair would outgrow the block budget.
+    pair would outgrow the block budget.  A slice forms about four (pairs,
+    d, d) complex arrays: operands, differences, Gram matrices.
     """
+    pairs = block_rows(64 * net.dim * net.dim)
+    dist = np.empty(len(q))
     for s in range(0, len(q), pairs):
-        qs, es = q[s : s + pairs], e[s : s + pairs]
-        exact[qs, es] = operator_norms(block[es] - u[qs])
+        dist[s : s + pairs] = operator_norms(net.take(idx[s : s + pairs]) - u[q[s : s + pairs]])
+    return dist
 
 
 def _nearest(net: UnitaryNet, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,88 +529,58 @@ def _nearest(net: UnitaryNet, probes: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Bit-identical to computing `operator_norms(net.elements - u)` for each
     probe u and keeping the first index of the least value, but exact norms
-    are computed only for (element, probe) pairs that can still win.  The
-    largest column norm of N - u bounds ||N - u|| from below; its square
-    is max_j ||N e_j||^2 + ||u e_j||^2 - 2 Re <N e_j, u e_j>, d GEMMs over
-    all pairs of a tile.  A pair is normed exactly only while that bound,
-    less a rounding slack scaled by the column norms, is within the probe's
-    reach: an exact distance already taken.  The reach starts at the lesser
-    of the best distance of earlier chunks and that of the chunk's
-    lowest-bound element, its seed; the pairs within it are the
-    candidates.  Each probe's `_FIRST_NORMS` lowest-bound candidates, the
-    seed first with its distance reused, are normed first and lower its
-    reach to their least distance; of the rest, only those whose bound is
-    still within it are normed.  Every pair left out is strictly farther
-    than some normed one, so it can neither win nor tie.
+    are computed only for (element, probe) pairs that can still win, and
+    elements are formed (`UnitaryNet.take`, with the bits of `rows`) only
+    for those.  No block of elements is formed to be bounded: the bounds of
+    `_ProbeTile` come from the grid, first for all phases of a grid point
+    at once, then phase by phase for the pairs that pass.
 
-    Element chunks of at most `_CHUNK` run outside and probe tiles inside,
-    so a chunk's columns are formed once; a chunk's elements, taken from
-    `net.rows`, and its columns, 16 d^2 bytes per element each, stay within
-    16 block budgets, and a tile's float (probe, element) arrays, allocated
-    once per chunk, within one.
+    Probes run in tiles of up to `_TILE_PROBES`, each with two passes over
+    the grid in blocks, with one seed and one reach per probe.  The first
+    pass picks each probe's first candidates (`_first_candidates`).  The
+    lowest, the seed, is normed, and its distance is the probe's reach; the
+    other first candidates within it are normed next and lower the reach to
+    their least distance.  The second pass norms every other element whose
+    bound, less its slack, is within the reach, piece by piece, and each
+    piece's norms lower the reach of the next.  Every pair left out is
+    strictly farther than some normed one, so it can neither win nor tie;
+    ties go to the lower index.
+
+    The working set is fixed: a (probe, grid point) tile of one block
+    budget (two float arrays, or a complex and two float arrays of half
+    the pairs where there are phases), phase bounds in pieces of up to
+    two budgets, and exact norms in slices of one.
     """
-    n, d, count = len(net), net.dim, probes.shape[0]
+    count, size, m = len(probes), len(net.base), len(net.phases)
     best = np.full(count, np.inf)
     index = np.zeros(count, dtype=np.intp)
-    # Rounding moves the squared bound by about 2d eps and the squared exact
-    # norm by about 2d^2 eps, each times ||N e_j||^2 + ||u e_j||^2 at most;
-    # 64 d^2 eps times the largest such column norms covers both.
-    slack = 64.0 * d * d * np.finfo(np.float64).eps
-    chunk = min(n, _CHUNK, block_rows(d * d))
-    step = block_rows(8 * chunk)
-    # a slice forms about four (pairs, d, d) complex arrays: operands, differences, Gram matrices
-    pairs = block_rows(64 * d * d)
-    for lo in range(0, n, chunk):
-        block = net.rows(lo, min(n, lo + chunk))
-        cols, sq_less = _columns(block)
-        # The slack is taken off the squared column norms, not the tile.
-        sq_less -= slack * sq_less.max(axis=0)
-        # (probe, element) tiles, so each probe's scan runs along a row;
-        # `exact` holds each column's squared norms until the exact pass.
-        bound = np.empty((min(step, count), len(block)))
-        exact = np.empty_like(bound)
-        for plo in range(0, count, step):
-            u = probes[plo : plo + step]
-            u_cols, u_sq_less = _columns(u)
-            u_sq_less -= slack * u_sq_less.max(axis=0)
-            near, near_idx = best[plo : plo + step], index[plo : plo + step]
-            every = np.arange(len(u))
-            bound, exact = bound[: len(u)], exact[: len(u)]  # only the last tile is shorter
-            bound.fill(0.0)
-            for j in range(d):
-                np.matmul(u_cols[j], cols[j].T, out=exact)
-                exact *= -2.0
-                exact += sq_less[j]
-                exact += u_sq_less[j][:, None]
-                np.maximum(bound, exact, out=bound)
-            seed = np.argmin(bound, axis=1)
-            seed_dist = operator_norms(block[seed] - u)
-            reach = np.minimum(near, seed_dist)
-            q, e = np.nonzero(bound <= (reach * reach)[:, None])
-            low = bound[q, e]
-            # each probe's candidates in a run, lowest bound first; the
-            # first few of each run are normed first and lower its reach
-            order = np.lexsort((low, q))
-            q, e, low = q[order], e[order], low[order]
-            first = np.ones(len(q), dtype=bool)
-            first[_FIRST_NORMS:] = q[_FIRST_NORMS:] != q[:-_FIRST_NORMS]
-            exact.fill(np.inf)
-            # a probe's seed leads its run, if a candidate at all, and its
-            # distance is known already
-            exact[every, seed] = seed_dist
-            unknown = first & (e != seed[q])
-            qf, ef = q[unknown], e[unknown]
-            _exact_norms(exact, block, u, qf, ef, pairs)
-            np.minimum.at(reach, qf, exact[qf, ef])
-            rest = ~first & (low <= (reach * reach)[q])
-            _exact_norms(exact, block, u, q[rest], e[rest], pairs)
-            i = np.argmin(exact, axis=1)
-            dist = exact[every, i]
-            # later chunks win only strictly: ties keep the first index
-            win = dist < near
-            near[win] = dist[win]
-            near_idx[win] = lo + i[win]
-        del block, cols, sq_less, bound, exact  # before the next chunk's are formed
+    # a float tile of one budget, or a complex one where there are phases
+    tile = block_rows(16 if m == 1 else 32)
+    rows = min(count, _TILE_PROBES, tile)
+    width = min(size, max(1, tile // rows))
+    for plo in range(0, count, rows):
+        u = probes[plo : plo + rows]
+        near, near_idx = best[plo : plo + rows], index[plo : plo + rows]
+        scan = _ProbeTile(net, u, width)
+        first, low = _first_candidates(scan, width)
+        every = np.arange(len(u))
+        # the seed's distance is each probe's first reach
+        _take_nearer(near, near_idx, every, first[:, 0], _norm_pairs(net, u, every, first[:, 0]))
+        q, i = np.nonzero(low[:, 1:] <= (near * near)[:, None])
+        idx = first[q, i + 1]
+        _take_nearer(near, near_idx, q, idx, _norm_pairs(net, u, q, idx))
+        for lo in range(0, size, width):
+            bound = scan.grid(lo, min(size, lo + width))
+            q, points = np.divmod(np.flatnonzero(bound <= (near * near)[:, None]), bound.shape[1])
+            if not len(q):
+                continue
+            points += lo
+            for pq, idx in scan.elements(q, points, near * near):
+                # the first candidates are normed already, or farther than the seed
+                new = ~(first[pq] == idx[:, None]).any(axis=1)
+                pq, idx = pq[new], idx[new]
+                if len(pq):
+                    _take_nearer(near, near_idx, pq, idx, _norm_pairs(net, u, pq, idx))
     return index, best
 
 

@@ -320,15 +320,6 @@ def random_test_elements_by_loop(dim: int, n_random: int, seed: int) -> np.ndarr
     return np.concatenate(elements)
 
 
-def columns_by_concatenation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, k, 2d) real column rows of a (k, d, d) stack, and their squared norms.
-
-    Real parts stacked over imaginary parts, then transposed and copied.
-    """
-    cols = np.ascontiguousarray(np.concatenate([a.real, a.imag], axis=1).transpose(2, 0, 1))
-    return cols, np.einsum("jkx,jkx->jk", cols, cols)
-
-
 def _tail_vector(angles) -> np.ndarray:
     """Kronecker product of the 2-vectors (cos a, sin a), one scalar factor at a time."""
     out = np.ones(1, dtype=np.complex128)
@@ -384,3 +375,21 @@ def step_phase_pair(theta: float, phase_policy: str) -> tuple[float, float]:
     if phase_policy == "none":
         return (theta, -theta)
     return (0.0, 2.0 * theta)
+
+
+def su2_grid_by_stacking(n: int) -> np.ndarray:
+    """`witness._su2_grid(n)` as the package first formed it.
+
+    Per-face meshgrids, stacked and concatenated into one (K, 4) array of
+    quaternions, normalized by `np.linalg.norm`, and the four entries of
+    each matrix as complex sums of the four component arrays.
+    """
+    ticks = np.array([0] + [s * k for k in range(1, n // 2 + 1) for s in (1, -1)]) * 2.0 / n
+    faces = [
+        np.meshgrid(*[ticks[:-2]] * axis, [sign], *[ticks] * (3 - axis), indexing="ij")
+        for axis in range(4)
+        for sign in (1.0, -1.0)
+    ]
+    q = np.concatenate([np.stack(face, axis=-1).reshape(-1, 4) for face in faces])
+    a, b, c, d = q.T / np.linalg.norm(q, axis=1)
+    return np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b], axis=1).reshape(-1, 2, 2)

@@ -484,6 +484,28 @@ def test_non_positive_count_flags_refused_before_numpy_loads(tmp_path, argv, fla
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1.5"])
+def test_bad_resolution_refused_before_numpy_loads(tmp_path, value):
+    # refused only once numpy had loaded, by the net's own check
+    argv = ["fsigma-search", "--epsilon", value, "--pairs", "1", "--output", "x.json"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import carlab.cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = carlab.cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'err': err.getvalue(), 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    result = _fresh(code, tmp_path)
+    assert result["code"] == 2
+    assert not result["numpy"]
+    (line,) = result["err"].strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "config"
+    assert f"argument --epsilon: expected a net resolution in (0, 1], got {value}" in record["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_exhaustive_net_count_beyond_float_refused(tmp_path, capsys):
     # no exhaustive net above dim 2, however its count would be put
     out = tmp_path / "x.json"

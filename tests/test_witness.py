@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -10,13 +11,13 @@ from carlab import cli, config, linalg, witness
 from carlab.errors import DomainError, InvalidInputError, NumericalInvariantError, SizeLimitError
 from carlab.states import VectorState, pullback
 from reference import (
-    columns_by_concatenation,
     exhaustive_net_by_products,
     nearest_net_element,
     projector,
     random_test_elements_by_loop,
     rotation_unitary,
     stack_net,
+    su2_grid_by_stacking,
     sup_gap,
     witness_search_by_chunks,
 )
@@ -61,6 +62,11 @@ def test_net_size_cap_is_shared_and_checked_before_allocating():
     with pytest.raises(SizeLimitError):
         witness.random_net(2, 0.4, size=2_000_000, seed=0)
     assert len(witness.random_net(16, 0.4, size=10, seed=0)) == 11
+
+
+# the witness-scan tests size their nets around the 8,192-element chunk
+# the scans once took
+_CHUNK = 8192
 
 
 def _boom(*args, **kwargs):
@@ -176,18 +182,19 @@ def _assert_nearest_matches_reference(net, probes):
     seed=st.integers(0, 2**32 - 1),
     probes=st.sampled_from(["independent", "members", "scaled"]),
     ties=st.sampled_from(["none", "some", "every"]),
-    chunk=st.sampled_from([5, 32, witness._CHUNK]),
+    tile_probes=st.sampled_from([1, 4, witness._TILE_PROBES]),
     # 1 byte: every exact slice holds a single pair
     block_bytes=st.sampled_from([1, 64, config.BLOCK_BYTES]),
 )
 # nets with fewer elements than the best-first pass norms first
-@example(dim=4, size=3, seed=0, probes="independent", ties="none", chunk=witness._CHUNK,
-         block_bytes=config.BLOCK_BYTES)
-@example(dim=2, size=1, seed=1, probes="scaled", ties="none", chunk=5, block_bytes=1)
+@example(dim=4, size=3, seed=0, probes="independent", ties="none",
+         tile_probes=witness._TILE_PROBES, block_bytes=config.BLOCK_BYTES)
+@example(dim=2, size=1, seed=1, probes="scaled", ties="none", tile_probes=4, block_bytes=1)
 # every least distance tied across the first and the second exact pass
-@example(dim=4, size=40, seed=2, probes="independent", ties="every", chunk=32, block_bytes=1)
-@example(dim=3, size=2, seed=3, probes="members", ties="every", chunk=5, block_bytes=64)
-def test_nearest_equals_full_scan(dim, size, seed, probes, ties, chunk, block_bytes):
+@example(dim=4, size=40, seed=2, probes="independent", ties="every", tile_probes=1,
+         block_bytes=1)
+@example(dim=3, size=2, seed=3, probes="members", ties="every", tile_probes=4, block_bytes=64)
+def test_nearest_equals_full_scan(dim, size, seed, probes, ties, tile_probes, block_bytes):
     rng = np.random.default_rng(seed)
     elements = linalg.haar_unitary(dim, rng, count=size)
     if ties == "some":
@@ -206,34 +213,72 @@ def test_nearest_equals_full_scan(dim, size, seed, probes, ties, chunk, block_by
         # non-unitary probes, far inside and far outside the unit ball
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(9, 1, 1))
         u = scales * linalg.haar_unitary(dim, rng, count=9)
-    with mock.patch.object(witness, "_CHUNK", chunk), \
+    with mock.patch.object(witness, "_TILE_PROBES", tile_probes), \
             mock.patch.object(config, "BLOCK_BYTES", block_bytes):
         _assert_nearest_matches_reference(stack_net(elements), u)
 
 
-def test_nearest_on_exhaustive_net_equals_full_scan():
-    net = witness.enumerate_net(2, 0.7)
-    rng = np.random.default_rng(31)
+def _exhaustive_probes(net, rng):
+    """Haar draws, members of later phases, and both scaled by 10^-3 and 10^3."""
+    size = len(net.base)
+    haar = linalg.haar_unitary(net.dim, rng, count=6)
+    members = net.take(rng.integers(size, len(net), size=6))
+    both = np.concatenate([haar, members])
+    return np.concatenate([both, 1e-3 * both, 1e3 * both])
+
+
+def _exhaustive_net_with_moduli(dim, epsilon, modulus):
+    """`enumerate_net(dim, epsilon)` with every phase past the first scaled by 1 + modulus."""
+    net = witness.enumerate_net(dim, epsilon)
+    phases = net.phases.copy()
+    phases[1:] *= 1.0 + modulus
+    return dataclasses.replace(net, phases=phases)
+
+
+_MODULI = st.sampled_from([0.0, -1e-10, 1e-10])
+
+
+@settings(deadline=None, max_examples=25)
+@given(dim=st.sampled_from([1, 2]), epsilon=st.floats(0.3, 1.0), seed=st.integers(0, 2**32 - 1),
+       modulus=_MODULI)
+@example(dim=2, epsilon=0.3, seed=0, modulus=-1e-10)
+def test_grid_bound_never_exceeds_an_element_distance(dim, epsilon, seed, modulus):
+    # the grid bound of each (probe, grid point), and each phase's bound,
+    # less their slack, are within the squared exact distance of every
+    # phase's element; phases off the unit circle by 1e-10 need the slack
+    # for their moduli, and members of later phases scaled by 10^-3 show it
+    net = _exhaustive_net_with_moduli(dim, epsilon, modulus)
+    size, m = len(net.base), len(net.phases)
+    probes = _exhaustive_probes(net, np.random.default_rng(seed))
+    scan = witness._ProbeTile(net, probes, size)
+    grid = scan.grid(0, size)
+    q, points = np.repeat(np.arange(len(probes)), size), np.tile(np.arange(size), len(probes))
+    ((_, phases),) = scan.phases(q, points, m)
+    phases = phases.reshape(len(probes), size, m)
+    for p, u in enumerate(probes):
+        dist = linalg.operator_norms(net.elements - u).reshape(m, size)
+        assert (grid[p] <= (dist * dist).min(axis=0)).all()
+        assert (phases[p].T <= dist * dist).all()
+
+
+@settings(deadline=None, max_examples=25)
+@given(dim=st.sampled_from([1, 2]), epsilon=st.floats(0.3, 1.0), seed=st.integers(0, 2**32 - 1),
+       modulus=_MODULI)
+# a net of 15 phases; identity, a grid neighbour, the last element, and a
+# probe 1e-12 from it
+@example(dim=2, epsilon=0.7, seed=31, modulus=0.0)
+def test_nearest_on_exhaustive_net_equals_full_scan(dim, epsilon, seed, modulus):
+    net = _exhaustive_net_with_moduli(dim, epsilon, modulus)
+    rng = np.random.default_rng(seed)
     probes = np.concatenate([
-        linalg.haar_unitary(2, rng, count=20),
+        linalg.haar_unitary(dim, rng, count=20),
         net.elements[[0, 1, len(net) - 1]],
         net.elements[-1:] + 1e-12,
+        _exhaustive_probes(net, rng),
     ])
     _assert_nearest_matches_reference(net, probes)
     for u in probes[:3]:
         assert nearest_net_element(net, u) == tuple(_nearest_reference(net.elements, u))
-
-
-@settings(deadline=None, max_examples=100)
-@given(dim=st.integers(1, 4), count=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
-def test_columns_equal_concatenated_form(dim, count, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
-    cols, sq = witness._columns(a)
-    ref_cols, ref_sq = columns_by_concatenation(a)
-    assert cols.shape == (dim, count, 2 * dim) and cols.flags.c_contiguous
-    assert cols.tobytes() == ref_cols.tobytes()
-    assert sq.tobytes() == ref_sq.tobytes()
 
 
 def _density_reference(net, probes, seed):
@@ -288,6 +333,27 @@ def test_density_report_transient_memory_is_bounded(build, probes):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * config.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("build, probes", [
+    (lambda: witness.enumerate_net(2, 0.4), 30),
+    (lambda: witness.random_net(4, 0.4, size=3000, seed=1), 40),
+    (lambda: witness.random_net(2, 0.4, size=5000, seed=1), 100),
+], ids=["exhaustive-dim2", "random-dim4", "random-dim2"])
+def test_density_scan_working_memory_is_three_budgets(build, probes):
+    # The witness benchmark's three nets.  The scan forms no chunk of
+    # elements nor its columns: a (probe, grid point) tile of one budget,
+    # phase bounds, and exact norms of the few candidates.  Scanning
+    # chunks of up to 8,192 elements took 1.85, 1.68 and 0.90 MB here.
+    net = build()
+    witness.net_density_report(net, probes=1, seed=0)  # one-time allocations
+    tracemalloc.start()
+    try:
+        witness.net_density_report(net, probes=probes, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * config.BLOCK_BYTES
 
 
 def test_density_report_refuses_no_probes():
@@ -375,6 +441,36 @@ def test_exhaustive_net_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= net.elements.nbytes + 6 * config.BLOCK_BYTES
+
+
+def test_su2_grid_is_byte_identical_to_stacked_form():
+    for n in range(2, 41, 2):
+        assert witness._su2_grid(n).tobytes() == su2_grid_by_stacking(n).tobytes()
+
+
+def test_su2_grid_transient_memory_is_bounded_by_the_grid():
+    # each face is written into the grid's own rows and normalized there;
+    # per-face meshgrids, their stack and the four component arrays took
+    # 3.13 MB for this 0.89 MB grid
+    witness.enumerate_net(2, 1.0)  # one-time allocations
+    tracemalloc.start()
+    try:
+        net = witness.enumerate_net(2, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * net.base.nbytes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: witness.enumerate_net(1, 0.5),
+    lambda: witness.enumerate_net(2, 0.7),
+    lambda: witness.random_net(3, 0.4, size=50, seed=2),
+], ids=["exhaustive-dim1", "exhaustive-dim2", "random-dim3"])
+def test_take_equals_rows(build):
+    net = build()
+    index = np.random.default_rng(7).permutation(len(net))
+    assert net.take(index).tobytes() == net.elements[index].tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -465,8 +561,9 @@ def test_witness_free_search_reads_only_the_grid(epsilon, monkeypatch):
 
 def test_exhaustive_net_scan_memory_is_bounded_by_the_grid():
     # the net is its phases and its 13,920-point grid (0.89 MB); formed
-    # whole it was 25.8 MB.  Building the grid peaks at about 2.5x its
-    # bytes; the scan adds a chunk of elements and its columns.
+    # whole it was 25.8 MB.  Building the grid peaks at about 1.3x its
+    # bytes; the scan adds a tile of one budget and the phase bounds and
+    # exact norms of its few candidates.
     tracemalloc.start()
     try:
         net = witness.enumerate_net(2, 0.2)
@@ -705,7 +802,7 @@ def _assert_scan_matches_chunks(phi, psi, net, tests):
 @pytest.mark.parametrize("extra", [1, 2, None])
 def test_growing_scan_equals_chunk_scan(k, extra):
     # extra rows after the witness; None makes a 3-chunk net with a 1-row tail
-    size = 3 * witness._CHUNK + 1 if extra is None else k + extra
+    size = 3 * _CHUNK + 1 if extra is None else k + extra
     phi, psi, net, tests = _net_with_one_witness(2, size, k, seed=k)
     result = witness.witness_search(phi, psi, net, tests)
     assert result is not None and result.index == k and result.gap < 1.0
@@ -756,7 +853,7 @@ def _assert_scan_schedule(n, most):
 def test_scan_blocks_grow_and_keep_one_row_blocks_where_chunks_have_them(n):
     # the names predate the schedule's indifference to chunks: no block has
     # one row unless the net has one, wherever _CHUNK falls
-    _assert_scan_schedule(n, witness._CHUNK)
+    _assert_scan_schedule(n, _CHUNK)
     _assert_scan_schedule(n, 2048)
 
 
@@ -790,7 +887,7 @@ def test_capped_scan_across_a_chunk_equals_chunk_scan(most):
     # n = _CHUNK + 1 at a 2- or 3-row cap; the budget is shrunk instead of
     # the test net widened, as the whole-chunk reference would form
     # (_CHUNK, k) arrays of about 800 MB at such widths
-    size = witness._CHUNK + 1
+    size = _CHUNK + 1
     for k in (size - 3, size - 2, size - 1):
         phi, psi, net, tests = _net_with_one_witness(2, size, k, seed=k, vary_bad=True)
         row_bytes = 16 * (tests.dim**2 + len(tests.elements))
